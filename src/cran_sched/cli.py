@@ -217,28 +217,21 @@ def parse_config(path) -> RunConfig:
     ctx = os.fspath(path)
     pairs = _read_pairs(path)
 
+    # ranges of the model/phy values are checked once, by ModelParams and
+    # PhyParams below
     lam = _float(pairs, "lambda_density", ctx)
-    _check(lam > 0.0, ctx, f"lambda_density must be > 0, got {lam}")
     apl = _float(pairs, "pathloss_exponent", ctx)
-    _check(apl > 2.0, ctx, f"pathloss_exponent must be > 2, got {apl}")
     s = _float(pairs, "s", ctx)
-    _check(0.0 <= s <= 1.0, ctx, f"s must be in [0,1], got {s}")
     p0 = _float(pairs, "p0_w", ctx)
-    _check(p0 > 0.0, ctx, f"p0_w must be > 0, got {p0}")
     noise = _float(pairs, "noise_w", ctx)
-    _check(noise > 0.0, ctx, f"noise_w must be > 0, got {noise}")
     k_prime = _float(pairs, "k_prime", ctx)
-    _check(k_prime > 0.0, ctx, f"k_prime must be > 0, got {k_prime}")
     zeta = _float(pairs, "zeta", ctx)
-    _check(zeta > 2.0, ctx, f"zeta must be > 2, got {zeta}")
     nu_db = _float(pairs, "nu_db", ctx)
+    # nu = 10**(nu_db/10) is positive for any nu_db, so ModelParams cannot
+    # catch a non-positive margin
     _check(nu_db > 0.0, ctx, f"nu_db must be > 0, got {nu_db}")
     eps_ch = _float(pairs, "eps_channel", ctx)
-    _check(
-        0.0 < eps_ch < 1.0, ctx, f"eps_channel must be in (0,1), got {eps_ch}"
-    )
     l_max = _int(pairs, "l_max", ctx)
-    _check(l_max >= 1, ctx, f"l_max must be >= 1, got {l_max}")
     n_central = _int(pairs, "n_centralized", ctx)
     _check(n_central >= 1, ctx, f"n_centralized must be >= 1, got {n_central}")
 
@@ -259,11 +252,13 @@ def parse_config(path) -> RunConfig:
     n_trials = _int(pairs, "n_trials", ctx)
     _check(n_trials >= 1, ctx, f"n_trials must be >= 1, got {n_trials}")
     cal_trials = _int(pairs, "calibration_trials", ctx)
-    if cal_trials is not None:
-        _check(
-            cal_trials >= 1000, ctx,
-            f"calibration_trials must be >= 1000, got {cal_trials}",
-        )
+    if epsilon is not None:
+        # calibrating epsilon draws calibration_trials trials, n_trials if unset
+        if cal_trials is None:
+            key, n_cal = "n_trials (calibration_trials is unset)", n_trials
+        else:
+            key, n_cal = "calibration_trials", cal_trials
+        _check(n_cal >= 1000, ctx, f"{key} must be >= 1000, got {n_cal}")
     seed = _int(pairs, "seed", ctx)
     _check(seed >= 0, ctx, f"seed must be >= 0, got {seed}")
     workers = _int(pairs, "workers", ctx)

@@ -15,6 +15,9 @@ Linearizing ``log2(gap)`` in the rate turns the cost into a quadratic
 ``quad_alpha * r**2 + quad_beta * r`` that downstream water-filling and the
 greedy schedulers rely on.  The tangent construction makes the quadratic agree
 with the exact cost at the expansion rate, which the test suite pins to 1e-9.
+
+The formulas themselves are the scalar kernels in :mod:`.kernels`; the
+functions here check their inputs and call them.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-LN2 = math.log(2.0)
+from . import kernels
 
 # below this capacity gap (bpcu) the log blows up; callers must stay above it
 GAP_GUARD = 1e-9
@@ -85,11 +88,6 @@ class LinearizationCoeffs:
     sinr: float             # linear SINR of the operating point
 
 
-def k_of_epsilon(params: ModelParams) -> float:
-    """Iteration scale factor ``-k_prime / log10(eps_channel)``."""
-    return params.k_eps
-
-
 def gap(sinr: float, rate: float) -> float:
     """Capacity gap ``log2(1 + sinr) - rate`` in bpcu.
 
@@ -105,6 +103,17 @@ def gap(sinr: float, rate: float) -> float:
     return math.log2(1.0 + sinr) - rate
 
 
+def _guarded_capacity(sinr: float, rate: float) -> float:
+    """Capacity ``log2(1 + sinr)``, checked to lie GAP_GUARD above ``rate``."""
+    g = gap(sinr, rate)
+    if g < GAP_GUARD:
+        raise DomainError(
+            f"capacity gap {g:.3e} below guard {GAP_GUARD:.0e} "
+            f"(sinr={sinr}, rate={rate})"
+        )
+    return math.log2(1.0 + sinr)
+
+
 def decode_complexity(params: ModelParams, sinr: float, rate: float) -> float:
     """Decoding cost in bit-iterations per channel use, clamped at zero.
 
@@ -115,15 +124,8 @@ def decode_complexity(params: ModelParams, sinr: float, rate: float) -> float:
         raise DomainError(f"rate must be >= 0, got {rate}")
     if rate == 0.0:
         return 0.0
-    g = gap(sinr, rate)
-    if g < GAP_GUARD:
-        raise DomainError(
-            f"capacity gap {g:.3e} below guard {GAP_GUARD:.0e} "
-            f"(sinr={sinr}, rate={rate})"
-        )
-    c0, ilz = params.kernel_constants()
-    raw = rate * ilz * (c0 - 2.0 * math.log2(g))
-    return raw if raw > 0.0 else 0.0
+    cap = _guarded_capacity(sinr, rate)
+    return kernels.complexity_value(rate, cap, *params.kernel_constants())
 
 
 def iteration_count(params: ModelParams, sinr: float, rate: float) -> float:
@@ -134,14 +136,9 @@ def iteration_count(params: ModelParams, sinr: float, rate: float) -> float:
     """
     if rate <= 0:
         raise DomainError(f"rate must be > 0, got {rate}")
-    g = gap(sinr, rate)
-    if g < GAP_GUARD:
-        raise DomainError(
-            f"capacity gap {g:.3e} below guard {GAP_GUARD:.0e} "
-            f"(sinr={sinr}, rate={rate})"
-        )
+    cap = _guarded_capacity(sinr, rate)
     c0, ilz = params.kernel_constants()
-    return ilz * (c0 - 2.0 * math.log2(g))
+    return ilz * (c0 - 2.0 * math.log2(cap - rate))
 
 
 def linearize(
@@ -153,20 +150,15 @@ def linearize(
     giving ``quad_alpha * r**2 + quad_beta * r``; by construction the
     quadratic equals the exact (unclamped) cost at the expansion rate.
     """
-    g = gap(sinr, expansion_rate)
-    if g < GAP_GUARD:
-        raise DomainError(
-            f"capacity gap {g:.3e} below guard {GAP_GUARD:.0e} "
-            f"(sinr={sinr}, rate={expansion_rate})"
-        )
-    a = -1.0 / (LN2 * g)
-    b = math.log2(g) - a * expansion_rate
-    c0, ilz = params.kernel_constants()
+    cap = _guarded_capacity(sinr, expansion_rate)
+    a, b, quad_alpha, quad_beta = kernels.tangent(
+        expansion_rate, cap, *params.kernel_constants()
+    )
     return LinearizationCoeffs(
         a=a,
         b=b,
-        quad_alpha=-2.0 * a * ilz,
-        quad_beta=(c0 - 2.0 * b) * ilz,
+        quad_alpha=quad_alpha,
+        quad_beta=quad_beta,
         expansion_rate=expansion_rate,
         sinr=sinr,
     )

@@ -139,17 +139,6 @@ class SchedulerSeries:
 
 
 @dataclass(frozen=True)
-class TrialOutcome:
-    """One trial's view across the selected schedulers."""
-
-    trial: int
-    n_active: int
-    sum_rate: dict[str, float]
-    sum_complexity: dict[str, float]
-    outage: dict[str, bool]
-
-
-@dataclass(frozen=True)
 class CampaignResult:
     """Aggregated campaign outcome; deterministic given config and seed."""
 
@@ -181,17 +170,6 @@ class CampaignResult:
         raise ValueError(
             f"unknown metric {metric!r} "
             f"(expected 'sum_rate' or 'sum_complexity')"
-        )
-
-    def trial(self, t: int) -> TrialOutcome:
-        return TrialOutcome(
-            trial=t,
-            n_active=int(self.n_active[t]),
-            sum_rate={s: float(v.sum_rate[t]) for s, v in self.series.items()},
-            sum_complexity={
-                s: float(v.sum_complexity[t]) for s, v in self.series.items()
-            },
-            outage={s: bool(v.outage[t]) for s, v in self.series.items()},
         )
 
 

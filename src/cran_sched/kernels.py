@@ -25,8 +25,6 @@ import os
 
 import numpy as np
 
-# keep in sync with complexity.LN2 / complexity.GAP_GUARD (kernels must not
-# import the dataclass modules so they stay numba-independent and simple)
 _LN2 = math.log(2.0)
 
 
@@ -63,6 +61,15 @@ def _complexity_value(rate, cap, c0, ilz):
     return raw if raw > 0.0 else 0.0
 
 
+def _tangent(rate, cap, c0, ilz):
+    """Tangent ``a * r + b`` of ``log2(cap - r)`` at ``rate`` and the induced
+    quadratic cost coefficients: returns ``(a, b, quad_alpha, quad_beta)``."""
+    g = cap - rate
+    a = -1.0 / (_LN2 * g)
+    b = math.log2(g) - a * rate
+    return a, b, -2.0 * a * ilz, (c0 - 2.0 * b) * ilz
+
+
 def _water_level_and_beta(rate, cap, c0, ilz, comp):
     """Water level that would allocate `rate` under the local quadratic model.
 
@@ -70,11 +77,7 @@ def _water_level_and_beta(rate, cap, c0, ilz, comp):
     currently charged to the user, so the radicand is at least quad_beta**2
     and the square root is always defined.
     """
-    g = cap - rate
-    a = -1.0 / (_LN2 * g)
-    b = math.log2(g) - a * rate
-    alpha = -2.0 * a * ilz
-    beta = (c0 - 2.0 * b) * ilz
+    _a, _b, alpha, beta = _tangent(rate, cap, c0, ilz)
     return math.sqrt(4.0 * alpha * comp + beta * beta), beta
 
 
@@ -103,7 +106,8 @@ def _swf_trial(sinr, cap, thresholds, rates, c0, ilz, budget, drop_prep, idx, co
     still allows.  ``drop_prep`` enables an optional pre-pass that zeroes
     every user whose required water level already reaches quad_beta; with
     clamped non-negative costs that comparison fires for everyone, so the
-    pre-pass reduces the algorithm to its re-add phase.
+    pre-pass reduces the algorithm to its re-add phase; the package itself
+    always passes False.
     """
     n = sinr.shape[0]
     mf = np.empty(n, np.int64)
@@ -366,6 +370,7 @@ if _numba_requested():
         _seq_sum = _jit(_seq_sum)
         _max_feasible_idx = _jit(_max_feasible_idx)
         _complexity_value = _jit(_complexity_value)
+        _tangent = _jit(_tangent)
         _water_level_and_beta = _jit(_water_level_and_beta)
         _mrs_trial = _jit(_mrs_trial)
         _swf_trial = _jit(_swf_trial)
@@ -378,6 +383,7 @@ if _numba_requested():
 seq_sum = _seq_sum
 max_feasible_idx = _max_feasible_idx
 complexity_value = _complexity_value
+tangent = _tangent
 water_level_and_beta = _water_level_and_beta
 mrs_trial = _mrs_trial
 swf_trial = _swf_trial

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .complexity import ModelParams
 
 # LTE/NR AMC efficiency ladder at MCS-table granularity (bpcu), with the two
@@ -74,18 +75,12 @@ def default_table(params: ModelParams) -> McsTable:
 
 
 def max_feasible_index(table: McsTable, sinr: float) -> int | None:
-    """Highest entry whose threshold the SINR meets (inclusive), else None."""
-    idx = int(np.searchsorted(table.thresholds, sinr, side="right")) - 1
+    """Highest entry whose threshold the SINR meets (inclusive), else None.
+
+    A NaN SINR meets no threshold.
+    """
+    idx = int(kernels.max_feasible_idx(table.thresholds, sinr))
     return idx if idx >= 0 else None
-
-
-def next_lower(table: McsTable, index: int | None) -> int | None:
-    """The entry one step down, or None from the lowest entry (or from None)."""
-    if index is None:
-        return None
-    if not 0 <= index < table.n:
-        raise ValueError(f"index {index} out of range for {table.n}-entry table")
-    return index - 1 if index > 0 else None
 
 
 def load_rates(path) -> list[float]:

@@ -31,12 +31,15 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import kernels
 
 # distances below 10 m are clamped to keep the path-loss model sane
 MIN_DISTANCE_KM = 0.01
+
+# sample points per nearest-BS pass in estimate_cell_areas; bounds the
+# (points x BSs) distance temporaries to a few MB
+_OWNER_CHUNK = 4096
 
 
 class LayoutError(ValueError):
@@ -128,14 +131,11 @@ class NetworkLayout:
 class CellGeometry:
     """Monte-Carlo Voronoi cell areas plus the sample-point pools.
 
-    ``points``/``owner`` keep the raw samples with their nearest BS;
-    ``pool_xy``/``pool_off`` hold the same points grouped by owner so
+    ``pool_xy``/``pool_off`` hold the sample points grouped by nearest BS so
     ``pool_xy[pool_off[k]:pool_off[k+1]]`` is cell k's user-position pool.
     """
 
     areas: np.ndarray       # (n_bs,) km^2, sums to the arena area
-    points: np.ndarray      # (n_samples, 2) km, sampling order
-    owner: np.ndarray       # (n_samples,) nearest-BS index per point
     pool_xy: np.ndarray     # (n_samples, 2) points grouped by owner
     pool_off: np.ndarray    # (n_bs + 1,) pool slice offsets
 
@@ -386,8 +386,15 @@ def estimate_cell_areas(
     pts = np.empty_like(u)
     pts[:, 0] = layout.arena.xmin + u[:, 0] * layout.arena.width
     pts[:, 1] = layout.arena.ymin + u[:, 1] * layout.arena.height
-    _, owner = cKDTree(layout.bs_positions).query(pts)
-    owner = owner.astype(np.int64)
+    bs = layout.bs_positions
+    owner = np.empty(n_samples, np.int64)
+    for start in range(0, n_samples, _OWNER_CHUNK):
+        p = pts[start: start + _OWNER_CHUNK]
+        d2 = p[:, 0, None] - bs[:, 0]
+        d2 *= d2
+        dy = p[:, 1, None] - bs[:, 1]
+        d2 += dy * dy
+        owner[start: start + p.shape[0]] = np.argmin(d2, axis=1)
     counts = np.bincount(owner, minlength=layout.n_bs)
     areas = layout.arena.area * counts / float(n_samples)
     order = np.argsort(owner, kind="stable")
@@ -395,8 +402,6 @@ def estimate_cell_areas(
     np.cumsum(counts, out=pool_off[1:])
     return CellGeometry(
         areas=areas,
-        points=pts,
-        owner=owner,
         pool_xy=np.ascontiguousarray(pts[order]),
         pool_off=pool_off,
     )

@@ -108,18 +108,6 @@ def required_water_level(
     return math.sqrt(rad)
 
 
-def drop_predicate(coeffs: LinearizationCoeffs, complexity: float) -> bool:
-    """Whether the user's required water level already reaches ``quad_beta``.
-
-    Returns the literal comparison ``required_water_level >= quad_beta``.
-    Since clamped costs are never negative the left side is at least
-    ``|quad_beta|``, so the predicate holds for every real operating point;
-    it is kept for completeness and exposed through the optional
-    ``drop_prepass`` of :func:`swf_discrete`.
-    """
-    return required_water_level(coeffs, complexity) >= coeffs.quad_beta
-
-
 def continuous_waterfill(
     users: list[UserChannel],
     coeffs: list[LinearizationCoeffs],
@@ -276,7 +264,6 @@ def swf_discrete(
     table: McsTable,
     params: ModelParams,
     budget: float,
-    drop_prepass: bool = False,
 ) -> RateAllocation:
     """Water-level-guided allocation under a sum cost budget.
 
@@ -285,11 +272,6 @@ def swf_discrete(
     level steps down one entry (ties to the earliest user).  A final pass
     re-admits dropped users, highest water level at their max feasible entry
     first, wherever the budget allows.
-
-    ``drop_prepass`` additionally applies :func:`drop_predicate` to every
-    user up front; with clamped costs the predicate always fires, so the
-    pre-pass turns the algorithm into pure budget-limited re-admission.  It
-    is off by default.
     """
     budget = _check_budget(budget)
     sinr, cap = _user_arrays(users, table)
@@ -298,7 +280,7 @@ def swf_discrete(
     comp = np.empty(len(users), np.float64)
     sum_rate, sum_comp = kernels.swf_trial(
         sinr, cap, table.thresholds, table.rates, c0, ilz,
-        budget, drop_prepass, idx, comp,
+        budget, False, idx, comp,
     )
     return _build_allocation(
         users, table, idx, comp, sum_rate, sum_comp, budget

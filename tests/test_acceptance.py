@@ -36,7 +36,6 @@ from cran_sched import (
     gap,
     generate_layout,
     iteration_count,
-    k_of_epsilon,
     linearize,
     max_feasible_index,
     mrs,
@@ -404,10 +403,8 @@ def _implementation_values():
     phy = PhyParams()
     sec = {
         "complexity model": {
-            "k_factor(0.2, 0.1)": k_of_epsilon(PARAMS),
-            "k_factor(0.2, 0.01)": k_of_epsilon(
-                ModelParams(eps_channel=0.01)
-            ),
+            "k_factor(0.2, 0.1)": PARAMS.k_eps,
+            "k_factor(0.2, 0.01)": ModelParams(eps_channel=0.01).k_eps,
             "complexity(sinr=3, r=1)": c31,
             "complexity(sinr=15, r=3)": decode_complexity(PARAMS, 15.0, 3.0),
             "raw_complexity(sinr=15, r=1)  (negative, clamps to 0)": raw15,

@@ -107,6 +107,10 @@ def test_config_constraint_errors(tmp_path):
         ("n_trials = ten\n", "n_trials must be an integer"),
         ("lambda_density = oops\n", "lambda_density must be a number"),
         ("calibration_trials = 999\n", "calibration_trials must be >= 1000"),
+        (
+            "n_trials = 512\n",
+            "n_trials (calibration_trials is unset) must be >= 1000",
+        ),
         ("schedulers = mrs,tdma\n", "schedulers must be drawn from"),
         ("layout_kind = ring\n", "layout_kind must be one of"),
         ("nc_values = 2,0\n", "nc_values"),
@@ -125,6 +129,11 @@ def test_explicit_budget_clears_epsilon(tmp_path):
     rc = parse_config(write_cfg(tmp_path, "c_server = 42.5\n"))
     assert rc.c_server == 42.5
     assert rc.epsilon is None
+    # a fixed budget needs no calibration, so few trials are fine
+    rc = parse_config(
+        write_cfg(tmp_path, "c_server = 42.5\nn_trials = 512\n")
+    )
+    assert rc.n_trials == 512
 
 
 def test_mapping_round_trips_through_the_grammar(tmp_path):

@@ -13,7 +13,6 @@ from cran_sched import (
     decode_complexity,
     gap,
     iteration_count,
-    k_of_epsilon,
     linearize,
     quadratic_complexity,
 )
@@ -35,10 +34,10 @@ C_G3_RHALF = 0.12210554538111163     # cost at sinr=3, rate=0.5
 
 
 def test_k_factor_reference_points():
-    assert k_of_epsilon(ModelParams(k_prime=0.2, eps_channel=0.1)) == pytest.approx(
+    assert ModelParams(k_prime=0.2, eps_channel=0.1).k_eps == pytest.approx(
         0.2, rel=1e-12
     )
-    assert k_of_epsilon(ModelParams(k_prime=0.2, eps_channel=0.01)) == pytest.approx(
+    assert ModelParams(k_prime=0.2, eps_channel=0.01).k_eps == pytest.approx(
         0.1, rel=1e-12
     )
 

@@ -240,12 +240,6 @@ def test_result_accessors(campaign):
     with pytest.raises(ValueError, match="metric"):
         res.cdf("mrs", "median")
 
-    t = res.trial(17)
-    assert t.trial == 17
-    assert t.n_active == int(res.n_active[17])
-    assert t.sum_rate["mrs"] == float(res.series["mrs"].sum_rate[17])
-    assert t.outage["swf"] is False
-
 
 def test_campaign_deterministic_and_worker_invariant(campaign):
     cfg, res = campaign

@@ -11,7 +11,6 @@ from cran_sched import (
     default_table,
     load_rates,
     max_feasible_index,
-    next_lower,
 )
 
 NU_02DB = 1.0471285480508995          # 0.2 dB margin, linear
@@ -85,6 +84,7 @@ def test_max_feasible_index_inclusive_at_threshold():
     assert max_feasible_index(t, 0.5) == 0
     assert max_feasible_index(t, 0.1) is None
     assert max_feasible_index(t, 100.0) == 1
+    assert max_feasible_index(t, float("nan")) is None
 
 
 def test_max_feasible_index_monotone_in_sinr():
@@ -97,17 +97,6 @@ def test_max_feasible_index_monotone_in_sinr():
         cur = -1 if idx is None else idx
         assert cur >= prev
         prev = cur
-
-
-def test_next_lower_chain():
-    t = two_entry_table()
-    assert next_lower(t, 1) == 0
-    assert next_lower(t, 0) is None
-    assert next_lower(t, None) is None
-    with pytest.raises(ValueError, match="out of range"):
-        next_lower(t, 2)
-    with pytest.raises(ValueError, match="out of range"):
-        next_lower(t, -1)
 
 
 def test_load_rates(tmp_path):

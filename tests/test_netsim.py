@@ -1,6 +1,9 @@
 """Tests for layouts, cell geometry, trial draws and the uplink SINR."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -489,3 +492,19 @@ def test_uplink_sinr_unoccupied_and_range_errors():
         uplink_sinr(d, phy, 1)
     with pytest.raises(ValueError, match="out of range"):
         uplink_sinr(d, phy, 2)
+
+
+def test_import_leaves_scipy_out():
+    # nearest-BS assignment is plain NumPy; SciPy is a test-only dependency
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys, cran_sched; print('scipy' in sys.modules)",
+        ],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

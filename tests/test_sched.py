@@ -16,7 +16,6 @@ from cran_sched import (
     continuous_waterfill,
     decode_complexity,
     default_table,
-    drop_predicate,
     linearize,
     max_feasible_index,
     mrs,
@@ -99,18 +98,6 @@ def test_required_water_level_negative_radicand():
         required_water_level(co, floor - 1e-6)
 
 
-def test_drop_predicate_always_true_for_clamped_costs():
-    co1 = linearize(PARAMS, 3.0, 1.0)
-    assert drop_predicate(co1, C_U1) is True
-    assert drop_predicate(co1, 0.0) is True  # beta < 0: |beta| >= beta
-
-    # positive-beta operating point (gap exactly 1 bpcu): zero cost gives the
-    # inclusive equality case sqrt(beta^2) == beta
-    co_pos = linearize(PARAMS, 2.0**1.5 - 1.0, 0.5)
-    assert co_pos.quad_beta > 0.0
-    assert drop_predicate(co_pos, 0.0) is True
-
-
 # ------------------------------------------------------------ two-user trace
 
 
@@ -143,18 +130,6 @@ def test_scc_two_user_trace():
     a = scc(trace_users(), two_entry_table(), PARAMS, budget=1.0)
     assert [e.rate for e in a.entries] == [1.0, 0.0]
     assert a.sum_complexity == pytest.approx(C_U1, rel=1e-9)
-
-
-def test_swf_drop_prepass_is_pure_readmission():
-    # With the pre-pass on, every user is zeroed up front and re-admission
-    # runs in descending water-level order: user 1 (level 2.852) is restored
-    # first and its cost then blocks user 0.
-    a = swf_discrete(
-        trace_users(), two_entry_table(), PARAMS, budget=1.0, drop_prepass=True
-    )
-    assert [e.rate for e in a.entries] == [0.0, 0.5]
-    assert a.sum_complexity == pytest.approx(C_U2, rel=1e-9)
-    assert a.sum_complexity <= 1.0
 
 
 # ------------------------------------------------------------ edge behavior
