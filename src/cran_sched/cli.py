@@ -14,11 +14,12 @@ import dataclasses
 import logging
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
-from . import __version__, harness
+from . import __version__, harness, kernels
 from .complexity import ModelParams
-from .harness import SCHEDULERS, CampaignConfig
+from .harness import CampaignConfig, check_schedulers
 from .mcs import McsTable, build_table, db_to_linear, default_table, load_rates
 from .netsim import (
     Arena,
@@ -266,16 +267,10 @@ def parse_config(path) -> RunConfig:
 
     sched_raw = pairs.get("schedulers", DEFAULTS["schedulers"])
     schedulers = tuple(t.strip() for t in sched_raw.split(",") if t.strip())
-    _check(len(schedulers) > 0, ctx, "schedulers must name at least one")
-    for name in schedulers:
-        _check(
-            name in SCHEDULERS, ctx,
-            f"schedulers must be drawn from {SCHEDULERS}, got {name!r}",
-        )
-    _check(
-        len(set(schedulers)) == len(schedulers), ctx,
-        f"schedulers has duplicates: {schedulers}",
-    )
+    try:
+        check_schedulers(schedulers)
+    except ValueError as exc:
+        raise ConfigError(f"{ctx}: {exc}") from None
 
     layout_kind = pairs.get("layout_kind", DEFAULTS["layout_kind"])
     _check(
@@ -568,11 +563,16 @@ def main(argv=None) -> int:
             level=getattr(logging, rc.log_level.upper()),
             format="%(levelname)s %(name)s: %(message)s",
         )
+        if kernels.numba_requested() and not kernels.NUMBA_ENABLED:
+            log.warning(
+                "numba was requested but did not import; "
+                "running the interpreted kernels"
+            )
         os.makedirs(args.out, exist_ok=True)
         return _COMMANDS[args.command](rc, args)
-    except (ConfigError, LayoutError, ValueError) as exc:
+    except (ConfigError, LayoutError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except BrokenProcessPool as exc:
+        print(f"error: a worker process died: {exc}", file=sys.stderr)
         return 2

@@ -8,7 +8,10 @@ empirical (1-eps)-quantile of max-rate sum cost over an independent
 calibration stream; trials whose cost exceeds the budget are computational
 outages and have their recorded sum-rate zeroed (the ``unconstrained``
 series is the same allocation as ``mrs`` but is never scored against the
-budget).
+budget).  Which schedulers exist, which kernel computes each and how each
+is scored against the budget is the one table :data:`SCHEDULERS`: adding a
+scheduler is one entry there, plus one branch in ``kernels._schedule`` if it
+needs a new kernel.
 
 Randomness is organized so every trial is a pure function of the master
 seed: trial ``t`` lives in chunk ``t // 4096`` and consumes one fixed-length
@@ -58,7 +61,29 @@ EVAL_STREAM = 1
 CALIBRATION_STREAM = 2
 AREA_STREAM = 3
 
-SCHEDULERS = ("mrs", "swf", "scc", "unconstrained")
+# name -> (kernel id, scoring against C_server): "outage" zeroes the rate
+# where the cost exceeds the budget, "fits" asserts the cost never does, None
+# leaves the run unscored
+SCHEDULERS = {
+    "mrs": (kernels.MRS, "outage"),
+    "swf": (kernels.SWF, "fits"),
+    "scc": (kernels.SCC, "fits"),
+    "unconstrained": (kernels.MRS, None),
+}
+
+
+def check_schedulers(names) -> None:
+    """Reject an empty, repeated or unknown scheduler selection."""
+    if not names:
+        raise ValueError("schedulers must be non-empty")
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate schedulers: {tuple(names)}")
+    for name in names:
+        if name not in SCHEDULERS:
+            raise ValueError(
+                f"unknown scheduler {name!r}: schedulers must be drawn "
+                f"from {tuple(SCHEDULERS)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -69,7 +94,7 @@ class CampaignConfig:
     table: McsTable
     model: ModelParams
     phy: PhyParams
-    schedulers: tuple[str, ...] = SCHEDULERS
+    schedulers: tuple[str, ...] = tuple(SCHEDULERS)
     n_trials: int = 100_000
     epsilon: float | None = 0.1     # target outage; exclusive with c_server
     c_server: float | None = None   # explicit budget, bit-iterations pcu
@@ -80,15 +105,7 @@ class CampaignConfig:
     background_interference: bool = False
 
     def __post_init__(self) -> None:
-        if not self.schedulers:
-            raise ValueError("schedulers must be non-empty")
-        if len(set(self.schedulers)) != len(self.schedulers):
-            raise ValueError(f"duplicate schedulers: {self.schedulers}")
-        for s in self.schedulers:
-            if s not in SCHEDULERS:
-                raise ValueError(
-                    f"unknown scheduler {s!r} (expected one of {SCHEDULERS})"
-                )
+        check_schedulers(self.schedulers)
         if self.n_trials < 1:
             raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
         if (self.epsilon is None) == (self.c_server is None):
@@ -212,7 +229,7 @@ def budget_from_samples(samples, epsilon: float) -> float:
 # ----------------------------------------------------------------------
 
 # worker payload, inherited by fork()ed pool processes
-_PAYLOAD: dict | None = None
+_PAYLOAD: tuple | None = None
 
 
 def _chunk_specs(n_trials: int) -> list[tuple[int, int, int]]:
@@ -236,55 +253,35 @@ def _payload(
     seed: int,
     stream: int,
     budget: float,
-    do_swf: bool,
-    do_scc: bool,
-) -> dict:
-    c0, ilz = model.kernel_constants()
-    return {
-        "seed": seed,
-        "stream": stream,
-        "n_inst": cells.n_inst,
-        "nc": cells.nc,
-        "row_len": cells.row_len,
-        "p_occ": cells.p_occ,
-        "pool_xy": cells.pool_xy,
-        "pool_off": cells.pool_off,
-        "bs_xy": cells.bs_xy,
-        "thresholds": table.thresholds,
-        "rates": table.rates,
-        "c0": c0,
-        "ilz": ilz,
-        "p0": phy.p0,
-        "noise": phy.noise_w,
-        "apl": phy.pathloss_exponent,
-        "s": phy.s,
-        "budget": budget,
-        "do_swf": do_swf,
-        "do_scc": do_scc,
-    }
-
-
-def _compute_chunk(p: dict, chunk_idx: int, rows: int) -> tuple:
-    rng = np.random.default_rng(
-        np.random.SeedSequence([p["seed"], p["stream"], chunk_idx])
+    kinds,
+) -> tuple:
+    """``(seed, stream, n_inst, row_len, kernel_args)``; ``kernel_args`` are
+    the arguments of ``kernels.run_chunk`` between the uniforms and the
+    outputs, ending with the kernel ids to run."""
+    kernel_args = (
+        cells.p_occ, cells.pool_xy, cells.pool_off, cells.bs_xy,
+        MIN_DISTANCE_KM, cells.nc,
+        table.thresholds, table.rates, *model.kernel_constants(),
+        phy.p0, phy.noise_w, phy.pathloss_exponent, phy.s,
+        budget, np.array(kinds, dtype=np.int64),
     )
-    u = rng.random((rows, p["row_len"]))
-    n_inst = p["n_inst"]
+    return seed, stream, cells.n_inst, cells.row_len, kernel_args
+
+
+def _compute_chunk(payload: tuple, chunk_idx: int, rows: int) -> tuple:
+    """``(n_active, out)`` for one chunk; ``out`` is (rows, kernels, 2)."""
+    seed, stream, n_inst, row_len, kernel_args = payload
+    rng = np.random.default_rng(
+        np.random.SeedSequence([seed, stream, chunk_idx])
+    )
+    u = rng.random((rows, row_len))
     u_occ = np.ascontiguousarray(u[:, :n_inst])
     u_pos = np.ascontiguousarray(u[:, n_inst: 2 * n_inst])
     u_fade = np.ascontiguousarray(u[:, 2 * n_inst:])
-    out = tuple(np.zeros(rows) for _ in range(6))
     n_active = np.zeros(rows, dtype=np.int64)
-    kernels.run_chunk(
-        u_occ, u_pos, u_fade,
-        p["p_occ"], p["pool_xy"], p["pool_off"], p["bs_xy"],
-        MIN_DISTANCE_KM, p["nc"],
-        p["thresholds"], p["rates"], p["c0"], p["ilz"],
-        p["p0"], p["noise"], p["apl"], p["s"],
-        p["budget"], p["do_swf"], p["do_scc"],
-        n_active, out[0], out[1], out[2], out[3], out[4], out[5],
-    )
-    return (n_active,) + out
+    out = np.zeros((rows, len(kernel_args[-1]), 2))
+    kernels.run_chunk(u_occ, u_pos, u_fade, *kernel_args, n_active, out)
+    return n_active, out
 
 
 def _chunk_task(spec: tuple[int, int, int]) -> tuple:
@@ -292,16 +289,14 @@ def _chunk_task(spec: tuple[int, int, int]) -> tuple:
     return start, rows, _compute_chunk(_PAYLOAD, chunk_idx, rows)
 
 
-def _run_chunks(payload: dict, n_trials: int, workers: int) -> tuple:
-    """All per-trial arrays for one stream, identical for any worker count."""
-    full = tuple(np.empty(n_trials) for _ in range(6))
+def _run_chunks(payload: tuple, n_trials: int, workers: int) -> tuple:
+    """``(n_active, out)`` for one stream, identical for any worker count."""
     n_active = np.empty(n_trials, dtype=np.int64)
+    out = np.empty((n_trials, len(payload[-1][-1]), 2))
     specs = _chunk_specs(n_trials)
 
     def place(start: int, rows: int, arrays: tuple) -> None:
-        n_active[start: start + rows] = arrays[0]
-        for dst, src in zip(full, arrays[1:]):
-            dst[start: start + rows] = src
+        n_active[start: start + rows], out[start: start + rows] = arrays
 
     if workers == 1:
         for chunk_idx, start, rows in specs:
@@ -318,7 +313,7 @@ def _run_chunks(payload: dict, n_trials: int, workers: int) -> tuple:
                     place(start, rows, arrays)
         finally:
             _PAYLOAD = None
-    return (n_active,) + full
+    return n_active, out
 
 
 def campaign_cells(
@@ -379,11 +374,10 @@ def calibrate_budget(
     payload = _payload(
         cells, config.table, config.model, config.phy,
         config.seed, CALIBRATION_STREAM,
-        budget=math.inf, do_swf=False, do_scc=False,
+        budget=math.inf, kinds=[kernels.MRS],
     )
-    arrays = _run_chunks(payload, trials, config.workers)
-    mrs_comp = arrays[2]
-    return budget_from_samples(mrs_comp, config.epsilon)
+    _n_active, out = _run_chunks(payload, trials, config.workers)
+    return budget_from_samples(out[:, 0, 1], config.epsilon)
 
 
 def run_campaign(
@@ -407,52 +401,33 @@ def run_campaign(
     elif not c_server >= 0.0:
         raise ValueError(f"c_server must be >= 0, got {c_server}")
 
+    # each kernel runs once, however many schedulers share it
+    kinds = list(dict.fromkeys(SCHEDULERS[n][0] for n in config.schedulers))
     cells = campaign_cells(config, geometry)
     payload = _payload(
         cells, config.table, config.model, config.phy,
-        config.seed, EVAL_STREAM,
-        budget=float(c_server),
-        do_swf="swf" in config.schedulers,
-        do_scc="scc" in config.schedulers,
+        config.seed, EVAL_STREAM, float(c_server), kinds,
     )
-    (
-        n_active,
-        mrs_rate, mrs_comp,
-        swf_rate, swf_comp,
-        scc_rate, scc_comp,
-    ) = _run_chunks(payload, config.n_trials, config.workers)
+    n_active, out = _run_chunks(payload, config.n_trials, config.workers)
 
     series: dict[str, SchedulerSeries] = {}
     for name in config.schedulers:
-        if name == "mrs":
-            outage = mrs_comp > c_server
-            series[name] = SchedulerSeries(
-                sum_rate=np.where(outage, 0.0, mrs_rate),
-                sum_complexity=mrs_comp,
-                outage=outage,
+        kind, scoring = SCHEDULERS[name]
+        j = kinds.index(kind)
+        rate, comp = out[:, j, 0], out[:, j, 1]
+        over = comp > c_server
+        if scoring == "fits" and np.any(over):
+            t = int(np.argmax(over))
+            raise AssertionError(
+                f"{name} exceeded the budget on trial {t}: "
+                f"{comp[t]!r} > {c_server!r}"
             )
-        elif name == "unconstrained":
-            series[name] = SchedulerSeries(
-                sum_rate=mrs_rate,
-                sum_complexity=mrs_comp,
-                outage=np.zeros(config.n_trials, dtype=bool),
-            )
-        else:
-            rate, comp = (
-                (swf_rate, swf_comp) if name == "swf" else (scc_rate, scc_comp)
-            )
-            over = comp > c_server
-            if np.any(over):
-                t = int(np.argmax(over))
-                raise AssertionError(
-                    f"{name} exceeded the budget on trial {t}: "
-                    f"{comp[t]!r} > {c_server!r}"
-                )
-            series[name] = SchedulerSeries(
-                sum_rate=rate,
-                sum_complexity=comp,
-                outage=np.zeros(config.n_trials, dtype=bool),
-            )
+        outage = over if scoring == "outage" else np.zeros_like(over)
+        series[name] = SchedulerSeries(
+            sum_rate=np.where(outage, 0.0, rate),
+            sum_complexity=comp,
+            outage=outage,
+        )
 
     return CampaignResult(
         schedulers=config.schedulers,
@@ -615,8 +590,10 @@ def write_manifest(
     c_server: float | None = None,
     extra: dict | None = None,
 ) -> None:
-    """JSON run manifest; its config section re-parses to the same run."""
+    """JSON run manifest; its config section re-parses to the same run, and
+    ``backend`` names the kernel implementation that ran."""
     doc = {
+        "backend": "numba" if kernels.NUMBA_ENABLED else "interpreted",
         "command": command,
         "config": config_mapping,
         "seed": seed,

@@ -28,7 +28,8 @@ import numpy as np
 _LN2 = math.log(2.0)
 
 
-def _numba_requested() -> bool:
+def numba_requested() -> bool:
+    """Whether ``CRAN_SCHED_NUMBA`` asks for the compiled kernels."""
     return os.environ.get("CRAN_SCHED_NUMBA", "1") != "0"
 
 
@@ -218,6 +219,26 @@ def _scc_trial(sinr, cap, thresholds, rates, c0, ilz, budget, idx, comp):
     return sum_rate, _seq_sum(comp, n)
 
 
+# scheduler kernel ids, dispatched by _schedule
+MRS, SWF, SCC = 0, 1, 2
+
+
+def _schedule(kind, sinr, cap, thresholds, rates, c0, ilz, budget, idx, comp):
+    """Run scheduler ``kind`` (MRS, SWF or SCC) on one trial's active users;
+    returns ``(sum_rate, sum_complexity)``.  MRS ignores the budget."""
+    if kind == MRS:
+        return _mrs_trial(sinr, cap, thresholds, rates, c0, ilz, idx, comp)
+    if kind == SWF:
+        return _swf_trial(
+            sinr, cap, thresholds, rates, c0, ilz, budget, False, idx, comp
+        )
+    if kind == SCC:
+        return _scc_trial(
+            sinr, cap, thresholds, rates, c0, ilz, budget, idx, comp
+        )
+    raise ValueError("unknown scheduler kernel id")
+
+
 def _draw_arrays(
     u_occ, u_pos, u_fade, p_occ, pool_xy, pool_off, bs_xy, dmin, nc,
     occ, pos, d_serv, cross_d, fading,
@@ -297,13 +318,14 @@ def _run_chunk(
     p_occ, pool_xy, pool_off, bs_xy, dmin, nc,
     thresholds, rates, c0, ilz,
     p0, noise, apl, s,
-    budget, do_swf, do_scc,
-    out_n_active,
-    out_mrs_rate, out_mrs_comp,
-    out_swf_rate, out_swf_comp,
-    out_scc_rate, out_scc_comp,
+    budget, kinds,
+    out_n_active, out,
 ):
-    """Full per-trial pipeline over one chunk of uniform rows."""
+    """Full per-trial pipeline over one chunk of uniform rows.
+
+    Runs scheduler ``kinds[j]`` on every trial's active users and writes
+    ``out[t, j] = (sum_rate, sum_complexity)``.
+    """
     rows = u_occ.shape[0]
     n_inst = p_occ.shape[0]
     occ = np.empty(n_inst, np.bool_)
@@ -318,12 +340,11 @@ def _run_chunk(
     comp = np.empty(nc, np.float64)
 
     for t in range(rows):
-        n_active = _draw_arrays(
+        out_n_active[t] = _draw_arrays(
             u_occ[t], u_pos[t], u_fade[t],
             p_occ, pool_xy, pool_off, bs_xy, dmin, nc,
             occ, pos, d_serv, cross_d, fading,
         )
-        out_n_active[t] = n_active
         _sinr_trial(occ, d_serv, cross_d, fading, p0, noise, apl, s, nc, sinr)
         na = 0
         for k in range(nc):
@@ -333,22 +354,11 @@ def _run_chunk(
                 na += 1
         a_sinr = act_sinr[:na]
         a_cap = act_cap[:na]
-        r, c = _mrs_trial(a_sinr, a_cap, thresholds, rates, c0, ilz, idx, comp)
-        out_mrs_rate[t] = r
-        out_mrs_comp[t] = c
-        if do_swf:
-            r, c = _swf_trial(
-                a_sinr, a_cap, thresholds, rates, c0, ilz, budget, False,
+        for j in range(kinds.shape[0]):
+            out[t, j, 0], out[t, j, 1] = _schedule(
+                kinds[j], a_sinr, a_cap, thresholds, rates, c0, ilz, budget,
                 idx, comp,
             )
-            out_swf_rate[t] = r
-            out_swf_comp[t] = c
-        if do_scc:
-            r, c = _scc_trial(
-                a_sinr, a_cap, thresholds, rates, c0, ilz, budget, idx, comp
-            )
-            out_scc_rate[t] = r
-            out_scc_comp[t] = c
 
 
 # ----------------------------------------------------------------------
@@ -360,7 +370,7 @@ def _run_chunk(
 # flip CRAN_SCHED_NUMBA=0 to run the same sources interpreted.
 
 NUMBA_ENABLED = False
-if _numba_requested():
+if numba_requested():
     try:
         from numba import njit
     except ImportError:  # numba absent: fall back to the interpreted kernels
@@ -375,6 +385,7 @@ if _numba_requested():
         _mrs_trial = _jit(_mrs_trial)
         _swf_trial = _jit(_swf_trial)
         _scc_trial = _jit(_scc_trial)
+        _schedule = _jit(_schedule)
         _draw_arrays = _jit(_draw_arrays)
         _sinr_trial = _jit(_sinr_trial)
         _run_chunk = _jit(_run_chunk)
@@ -388,6 +399,7 @@ water_level_and_beta = _water_level_and_beta
 mrs_trial = _mrs_trial
 swf_trial = _swf_trial
 scc_trial = _scc_trial
+schedule = _schedule
 draw_arrays = _draw_arrays
 sinr_trial = _sinr_trial
 run_chunk = _run_chunk

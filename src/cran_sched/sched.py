@@ -27,10 +27,10 @@ import numpy as np
 
 from . import kernels
 from .complexity import (
-    GAP_GUARD,
     DomainError,
     LinearizationCoeffs,
     ModelParams,
+    _guarded_capacity,
 )
 from .mcs import McsTable
 
@@ -197,18 +197,17 @@ def _user_arrays(
 
     The greedy kernels take ``log2`` of the capacity gap at the max feasible
     entry, so any user sitting closer than GAP_GUARD to capacity is rejected
-    here with the same error the closed-form API raises.
+    here.  Capacities use the scalar ``math.log2`` of the campaign kernel,
+    so an allocation equals the campaign's for the same SINRs, bit for bit.
     """
     sinr = np.array([u.sinr for u in users], dtype=np.float64)
-    cap = np.log2(1.0 + sinr) if len(users) else np.zeros(0)
+    cap = np.empty(len(users), np.float64)
     for k, u in enumerate(users):
         i = kernels.max_feasible_idx(table.thresholds, u.sinr)
-        if i >= 0 and cap[k] - table.rates[i] < GAP_GUARD:
-            raise DomainError(
-                f"user {u.user_id}: capacity gap "
-                f"{cap[k] - table.rates[i]:.3e} below guard "
-                f"{GAP_GUARD:.0e} at ladder entry {i}"
-            )
+        cap[k] = (
+            _guarded_capacity(u.sinr, table.rates[i]) if i >= 0
+            else u.capacity
+        )
     return sinr, cap
 
 
@@ -238,25 +237,37 @@ def _build_allocation(
     )
 
 
-def _check_budget(budget: float) -> float:
-    budget = float(budget)
-    if not budget >= 0.0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
-    return budget
+def _allocate(
+    kind: int,
+    users: list[UserChannel],
+    table: McsTable,
+    params: ModelParams,
+    budget: float | None,
+) -> RateAllocation:
+    """Run scheduler kernel ``kind`` on ``users`` (``budget`` None: no
+    budget, for the max-rate kernel)."""
+    if budget is not None:
+        budget = float(budget)
+        if not budget >= 0.0:
+            raise ValueError(f"budget must be >= 0, got {budget}")
+    sinr, cap = _user_arrays(users, table)
+    idx = np.empty(len(users), np.int64)
+    comp = np.empty(len(users), np.float64)
+    sum_rate, sum_comp = kernels.schedule(
+        kind, sinr, cap, table.thresholds, table.rates,
+        *params.kernel_constants(),
+        math.inf if budget is None else budget, idx, comp,
+    )
+    return _build_allocation(
+        users, table, idx, comp, sum_rate, sum_comp, budget
+    )
 
 
 def mrs(
     users: list[UserChannel], table: McsTable, params: ModelParams
 ) -> RateAllocation:
     """Max-rate selection: every user at its highest feasible ladder entry."""
-    sinr, cap = _user_arrays(users, table)
-    c0, ilz = params.kernel_constants()
-    idx = np.empty(len(users), np.int64)
-    comp = np.empty(len(users), np.float64)
-    sum_rate, sum_comp = kernels.mrs_trial(
-        sinr, cap, table.thresholds, table.rates, c0, ilz, idx, comp
-    )
-    return _build_allocation(users, table, idx, comp, sum_rate, sum_comp, None)
+    return _allocate(kernels.MRS, users, table, params, None)
 
 
 def swf_discrete(
@@ -273,18 +284,7 @@ def swf_discrete(
     re-admits dropped users, highest water level at their max feasible entry
     first, wherever the budget allows.
     """
-    budget = _check_budget(budget)
-    sinr, cap = _user_arrays(users, table)
-    c0, ilz = params.kernel_constants()
-    idx = np.empty(len(users), np.int64)
-    comp = np.empty(len(users), np.float64)
-    sum_rate, sum_comp = kernels.swf_trial(
-        sinr, cap, table.thresholds, table.rates, c0, ilz,
-        budget, False, idx, comp,
-    )
-    return _build_allocation(
-        users, table, idx, comp, sum_rate, sum_comp, budget
-    )
+    return _allocate(kernels.SWF, users, table, params, budget)
 
 
 def scc(
@@ -295,14 +295,4 @@ def scc(
 ) -> RateAllocation:
     """Cost-greedy allocation: step down the most expensive user until the
     total cost fits the budget (ties to the earliest user)."""
-    budget = _check_budget(budget)
-    sinr, cap = _user_arrays(users, table)
-    c0, ilz = params.kernel_constants()
-    idx = np.empty(len(users), np.int64)
-    comp = np.empty(len(users), np.float64)
-    sum_rate, sum_comp = kernels.scc_trial(
-        sinr, cap, table.thresholds, table.rates, c0, ilz, budget, idx, comp
-    )
-    return _build_allocation(
-        users, table, idx, comp, sum_rate, sum_comp, budget
-    )
+    return _allocate(kernels.SCC, users, table, params, budget)

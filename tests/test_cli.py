@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from cran_sched import ModelParams, PhyParams, load_layout
+from cran_sched import ModelParams, PhyParams, kernels, load_layout
 from cran_sched.cli import (
     DEFAULTS,
     ConfigError,
@@ -205,6 +205,35 @@ def test_main_rejects_missing_layout_file(tmp_path, capsys):
     assert "layout file not found" in capsys.readouterr().err
 
 
+def test_main_reports_a_dead_worker(tmp_path, capsys, monkeypatch):
+    # a worker process that dies mid-chunk ends the run with an error line,
+    # not a traceback
+    monkeypatch.setattr(kernels, "run_chunk", lambda *args: os._exit(1))
+    cfg = write_cfg(tmp_path, SMALL)
+    code = main(
+        ["run", "--config", cfg, "--out", str(tmp_path / "out"),
+         "--workers", "2"]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: a worker process died")
+
+
+def test_main_warns_when_numba_is_requested_but_absent(
+    tmp_path, caplog, monkeypatch
+):
+    cfg = write_cfg(tmp_path, SMALL)
+    monkeypatch.setattr(kernels, "NUMBA_ENABLED", False)
+    for flag, warned in (("1", True), ("0", False)):
+        monkeypatch.setenv("CRAN_SCHED_NUMBA", flag)
+        caplog.clear()
+        out = tmp_path / f"lay{flag}"
+        assert main(["layout-gen", "--config", cfg, "--out", str(out)]) == 0
+        hits = [r for r in caplog.records if "numba" in r.getMessage()]
+        assert len(hits) == int(warned), flag
+        doc = json.loads((out / "manifest.json").read_text())
+        assert doc["backend"] == "interpreted"
+
+
 def test_layout_gen_writes_loadable_layout(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SMALL)
     out = tmp_path / "lay"
@@ -263,6 +292,9 @@ def test_run_writes_all_artifacts(tmp_path, capsys):
     doc = json.loads((out / "manifest.json").read_text())
     assert doc["command"] == "run"
     assert doc["c_server"] > 0.0
+    assert doc["backend"] == (
+        "numba" if kernels.NUMBA_ENABLED else "interpreted"
+    )
 
 
 def test_run_is_reproducible_byte_for_byte(tmp_path):

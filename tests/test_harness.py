@@ -13,21 +13,27 @@ from cran_sched import (
     CampaignConfig,
     ModelParams,
     PhyParams,
+    UserChannel,
     budget_from_samples,
     calibrate_budget,
     default_table,
+    draw_from_row,
     empirical_cdf,
     generate_layout,
+    mrs,
     run_campaign,
+    scc,
     sweep_lambda,
     sweep_nc,
+    swf_discrete,
+    uplink_sinr_all,
     write_cdf_csvs,
     write_manifest,
     write_per_trial_csv,
     write_summary_csv,
     write_sweep_csv,
 )
-from cran_sched import harness
+from cran_sched import harness, kernels
 
 
 def small_config(**overrides) -> CampaignConfig:
@@ -268,6 +274,68 @@ def test_scheduler_subset_runs(campaign):
     np.testing.assert_array_equal(
         sub.series["mrs"].sum_rate, res.series["mrs"].sum_rate
     )
+
+
+@pytest.mark.parametrize("name", list(harness.SCHEDULERS))
+def test_each_scheduler_alone_matches_full_run(campaign, name):
+    # only the kernels a campaign names run, so a scheduler run alone must
+    # reproduce its series from the full campaign bit for bit
+    cfg, res = campaign
+    alone = run_campaign(
+        dataclasses.replace(
+            cfg, schedulers=(name,), epsilon=None, c_server=res.c_server
+        )
+    )
+    np.testing.assert_array_equal(alone.n_active, res.n_active)
+    for field in ("sum_rate", "sum_complexity", "outage"):
+        np.testing.assert_array_equal(
+            getattr(alone.series[name], field),
+            getattr(res.series[name], field),
+        )
+
+
+def test_fits_rule_names_scheduler_and_trial(campaign, monkeypatch):
+    # scoring max-rate allocations as "fits" must trip on the first trial
+    # whose cost exceeds the budget
+    cfg, res = campaign
+    monkeypatch.setitem(harness.SCHEDULERS, "swf", (kernels.MRS, "fits"))
+    first = int(np.argmax(res.series["mrs"].outage))
+    assert res.series["mrs"].outage[first]
+    with pytest.raises(
+        AssertionError, match=rf"swf exceeded the budget on trial {first}:"
+    ):
+        run_campaign(
+            dataclasses.replace(
+                cfg, schedulers=("swf",), epsilon=None, c_server=res.c_server
+            )
+        )
+
+
+def test_library_allocations_equal_the_campaign(campaign):
+    # replay the first evaluation chunk through the library API: the
+    # allocators must return the campaign's sums bit for bit
+    cfg, res = campaign
+    cells = harness.campaign_cells(cfg, harness.campaign_geometry(cfg))
+    rows = np.random.default_rng(
+        np.random.SeedSequence([cfg.seed, harness.EVAL_STREAM, 0])
+    ).random((harness.CHUNK_TRIALS, cells.row_len))
+    for t, row in enumerate(rows):
+        draw = draw_from_row(cells, row, None)
+        sinr = uplink_sinr_all(draw, cfg.phy)
+        users = [
+            UserChannel(k, float(sinr[k]))
+            for k in range(cells.nc)
+            if draw.occupied[k]
+        ]
+        for name, alloc in (
+            ("unconstrained", mrs(users, cfg.table, cfg.model)),
+            ("swf", swf_discrete(users, cfg.table, cfg.model, res.c_server)),
+            ("scc", scc(users, cfg.table, cfg.model, res.c_server)),
+        ):
+            s = res.series[name]
+            assert (alloc.sum_rate, alloc.sum_complexity) == (
+                s.sum_rate[t], s.sum_complexity[t]
+            ), (name, t)
 
 
 # ------------------------------------------------------------------- sweeps

@@ -72,6 +72,6 @@ def test_kernel_module_exposes_selection_flag():
     for name in (
         "seq_sum", "max_feasible_idx", "complexity_value",
         "water_level_and_beta", "mrs_trial", "swf_trial", "scc_trial",
-        "draw_arrays", "sinr_trial", "run_chunk",
+        "schedule", "draw_arrays", "sinr_trial", "run_chunk",
     ):
         assert callable(getattr(kernels, name))
