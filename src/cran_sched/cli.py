@@ -1,9 +1,10 @@
 """Command-line front end: config parsing, subcommands, file emission.
 
-Configs are flat ``key = value`` text files (``#`` comments).  Unknown keys
-are rejected, every value is validated with the key name in the message,
-and unset keys take the default system-evaluation parameters baked into
-:data:`DEFAULTS`.  Logs go to standard error; data appears on standard
+Configs are flat ``key = value`` text files (``#`` comments).  The keys are
+the fields of :class:`RunConfig`: unknown keys are rejected, every value is
+validated with the key name in the message, and unset keys take the field
+defaults, which are the default system-evaluation parameters (see
+:data:`DEFAULTS`).  Logs go to standard error; data appears on standard
 output only when ``--stdout`` is given.
 """
 
@@ -15,11 +16,11 @@ import logging
 import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import __version__, harness, kernels
 from .complexity import ModelParams
-from .harness import CampaignConfig, check_schedulers
+from .harness import CampaignConfig
 from .mcs import McsTable, build_table, db_to_linear, default_table, load_rates
 from .netsim import (
     Arena,
@@ -38,115 +39,166 @@ class ConfigError(ValueError):
     """A config file failed to parse or validate."""
 
 
-# every recognized key with its default (None = unset / derived)
-DEFAULTS: dict[str, str | None] = {
-    "lambda_density": "1.0",
-    "pathloss_exponent": "3.7",
-    "s": "0.1",
-    "p0_w": "10.0",
-    "noise_w": "0.1",
-    "k_prime": "0.2",
-    "zeta": "6.0",
-    "nu_db": "0.2",
-    "eps_channel": "0.1",
-    "l_max": "8",
-    "n_centralized": "10",
-    "epsilon": "0.1",
-    "c_server": None,
-    "n_trials": "100000",
-    "calibration_trials": None,
-    "seed": "12345",
-    "layout_file": None,
-    "layout_kind": "uniform-random",
-    "n_bs": "129",
-    "arena_km": "30.0",
-    "layout_seed": "1",
-    "area_samples": "100000",
-    "schedulers": "mrs,swf,scc,unconstrained",
-    "workers": "1",
-    "nc_values": "2,4,6,8,10",
-    "lambda_values": "0.5,1.0,2.0,4.0",
-    "reference_lambda": None,
-    "mcs_file": None,
-    "background_interference": "false",
-    "log_level": "info",
-}
-
 _LOG_LEVELS = ("debug", "info", "warning", "error")
 _LAYOUT_KINDS = ("uniform-random", "hex-grid")
 
 
+def _check(cond: bool, message: str) -> None:
+    if not cond:
+        raise ValueError(message)
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """A fully validated config, ready to build a campaign from."""
+    """A validated config: one field per config key, whose default is the
+    key's default (``None``: unset).  Setting ``c_server`` clears
+    ``epsilon``; ``model`` and ``phy`` are derived from the fields."""
 
-    model: ModelParams
-    phy: PhyParams
-    epsilon: float | None
-    c_server: float | None
-    n_trials: int
-    calibration_trials: int | None
-    seed: int
-    schedulers: tuple[str, ...]
-    workers: int
-    n_centralized: int
-    layout_file: str | None
-    layout_kind: str
-    n_bs: int
-    arena_km: float
-    layout_seed: int
-    area_samples: int
-    nc_values: tuple[int, ...]
-    lambda_values: tuple[float, ...]
-    reference_lambda: float | None
-    mcs_file: str | None
-    background_interference: bool
-    log_level: str
-    nu_db: float
+    lambda_density: float = 1.0         # active users per km^2
+    pathloss_exponent: float = 3.7
+    s: float = 0.1                      # fractional power-control exponent
+    p0_w: float = 10.0                  # target receive-power scale, W
+    noise_w: float = 0.1                # receiver noise power, W
+    k_prime: float = 0.2
+    zeta: float = 6.0
+    nu_db: float = 0.2                  # threshold back-off, dB
+    eps_channel: float = 0.1
+    l_max: int = 8
+    n_centralized: int = 10
+    epsilon: float | None = 0.1
+    c_server: float | None = None
+    n_trials: int = 100_000
+    calibration_trials: int | None = None   # None -> n_trials
+    seed: int = 12345
+    layout_file: str | None = None
+    layout_kind: str = "uniform-random"
+    n_bs: int = 129
+    arena_km: float = 30.0
+    layout_seed: int = 1
+    area_samples: int = 100_000
+    schedulers: tuple[str, ...] = tuple(harness.SCHEDULERS)
+    workers: int = 1
+    nc_values: tuple[int, ...] = (2, 4, 6, 8, 10)
+    lambda_values: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0)
+    reference_lambda: float | None = None   # None -> lambda_values[0]
+    mcs_file: str | None = None
+    background_interference: bool = False
+    log_level: str = "info"
+
+    def __post_init__(self) -> None:
+        if self.c_server is not None:
+            object.__setattr__(self, "epsilon", None)
+        # ModelParams and PhyParams check the ranges of their keys
+        self.model, self.phy
+        harness.check_campaign(self)
+        # nu = 10**(nu_db/10) is positive for any nu_db, so ModelParams cannot
+        # catch a non-positive margin
+        _check(self.nu_db > 0.0, f"nu_db must be > 0, got {self.nu_db}")
+        _check(
+            self.n_centralized >= 1,
+            f"n_centralized must be >= 1, got {self.n_centralized}",
+        )
+        _check(
+            self.layout_kind in _LAYOUT_KINDS,
+            f"layout_kind must be one of {_LAYOUT_KINDS}, "
+            f"got {self.layout_kind!r}",
+        )
+        _check(self.n_bs >= 1, f"n_bs must be >= 1, got {self.n_bs}")
+        _check(self.arena_km > 0, f"arena_km must be > 0, got {self.arena_km}")
+        _check(
+            self.layout_seed >= 0,
+            f"layout_seed must be >= 0, got {self.layout_seed}",
+        )
+        _check(bool(self.nc_values), "nc_values must list at least one value")
+        for v in self.nc_values:
+            _check(v >= 1, f"nc_values: values must be >= 1, got {v}")
+        _check(
+            bool(self.lambda_values),
+            "lambda_values must list at least one value",
+        )
+        for v in self.lambda_values:
+            _check(v > 0.0, f"lambda_values: values must be > 0, got {v}")
+        if self.reference_lambda is not None:
+            _check(
+                self.reference_lambda > 0.0,
+                f"reference_lambda must be > 0, got {self.reference_lambda}",
+            )
+        _check(
+            self.log_level in _LOG_LEVELS,
+            f"log_level must be one of {_LOG_LEVELS}, got {self.log_level!r}",
+        )
+
+    @property
+    def model(self) -> ModelParams:
+        return ModelParams(
+            k_prime=self.k_prime,
+            zeta=self.zeta,
+            nu=db_to_linear(self.nu_db),
+            eps_channel=self.eps_channel,
+            l_max=self.l_max,
+        )
+
+    @property
+    def phy(self) -> PhyParams:
+        return PhyParams(
+            pathloss_exponent=self.pathloss_exponent,
+            s=self.s,
+            p0=self.p0_w,
+            noise_w=self.noise_w,
+            lambda_density=self.lambda_density,
+        )
 
     def mapping(self) -> dict[str, str]:
-        """Canonical key -> value strings; re-parsing reproduces this config."""
-        out: dict[str, str] = {
-            "lambda_density": repr(self.phy.lambda_density),
-            "pathloss_exponent": repr(self.phy.pathloss_exponent),
-            "s": repr(self.phy.s),
-            "p0_w": repr(self.phy.p0),
-            "noise_w": repr(self.phy.noise_w),
-            "k_prime": repr(self.model.k_prime),
-            "zeta": repr(self.model.zeta),
-            "nu_db": repr(self.nu_db),
-            "eps_channel": repr(self.model.eps_channel),
-            "l_max": str(self.model.l_max),
-            "n_centralized": str(self.n_centralized),
-            "n_trials": str(self.n_trials),
-            "seed": str(self.seed),
-            "layout_kind": self.layout_kind,
-            "n_bs": str(self.n_bs),
-            "arena_km": repr(self.arena_km),
-            "layout_seed": str(self.layout_seed),
-            "area_samples": str(self.area_samples),
-            "schedulers": ",".join(self.schedulers),
-            "workers": str(self.workers),
-            "nc_values": ",".join(str(v) for v in self.nc_values),
-            "lambda_values": ",".join(repr(v) for v in self.lambda_values),
-            "background_interference": (
-                "true" if self.background_interference else "false"
-            ),
-            "log_level": self.log_level,
+        """Canonical key -> value strings of the set keys; re-parsing
+        reproduces this config."""
+        return {
+            f.name: _text(getattr(self, f.name))
+            for f in fields(self)
+            if getattr(self, f.name) is not None
         }
-        if self.epsilon is not None:
-            out["epsilon"] = repr(self.epsilon)
-        if self.c_server is not None:
-            out["c_server"] = repr(self.c_server)
-        if self.calibration_trials is not None:
-            out["calibration_trials"] = str(self.calibration_trials)
-        if self.layout_file is not None:
-            out["layout_file"] = self.layout_file
-        if self.reference_lambda is not None:
-            out["reference_lambda"] = repr(self.reference_lambda)
-        if self.mcs_file is not None:
-            out["mcs_file"] = self.mcs_file
-        return out
+
+
+# every recognized key with its default (None = unset / derived)
+DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+
+# field annotation -> (cast, what a value that fails it must be)
+_SCALARS = {"int": (int, "an integer"), "float": (float, "a number"),
+            "str": (str, None)}
+
+
+def _cast(key: str, annotation: str, text: str):
+    """``text`` as a value of the field annotation, e.g. ``int | None``,
+    ``bool`` or ``tuple[float, ...]`` (a comma list)."""
+    kind = annotation.removesuffix(" | None")
+    if kind == "bool":
+        _check(
+            text in ("true", "false"),
+            f"{key} must be 'true' or 'false', got {text!r}",
+        )
+        return text == "true"
+    if kind.startswith("tuple["):
+        cast, _ = _SCALARS[kind[len("tuple["):-len(", ...]")]]
+        items = [t.strip() for t in text.split(",") if t.strip()]
+        try:
+            return tuple(cast(t) for t in items)
+        except ValueError:
+            raise ValueError(
+                f"{key} must be comma-separated numbers, got {text!r}"
+            ) from None
+    cast, noun = _SCALARS[kind]
+    try:
+        return cast(text)
+    except ValueError:
+        raise ValueError(f"{key} must be {noun}, got {text!r}") from None
+
+
+def _text(value) -> str:
+    """A field value in the config grammar; :func:`_cast` inverts it."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ",".join(_text(v) for v in value)
+    return value if isinstance(value, str) else repr(value)
 
 
 def config_text(mapping: dict[str, str]) -> str:
@@ -184,192 +236,20 @@ def _read_pairs(path) -> dict[str, str]:
     return pairs
 
 
-def _check(cond: bool, ctx: str, message: str) -> None:
-    if not cond:
-        raise ConfigError(f"{ctx}: {message}")
-
-
-def _float(pairs, key, ctx) -> float | None:
-    value = pairs.get(key, DEFAULTS[key])
-    if value is None:
-        return None
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(
-            f"{ctx}: {key} must be a number, got {value!r}"
-        ) from None
-
-
-def _int(pairs, key, ctx) -> int | None:
-    value = pairs.get(key, DEFAULTS[key])
-    if value is None:
-        return None
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(
-            f"{ctx}: {key} must be an integer, got {value!r}"
-        ) from None
-
-
 def parse_config(path) -> RunConfig:
     """Parse and validate a config file; unset keys take the defaults."""
-    ctx = os.fspath(path)
     pairs = _read_pairs(path)
-
-    # ranges of the model/phy values are checked once, by ModelParams and
-    # PhyParams below
-    lam = _float(pairs, "lambda_density", ctx)
-    apl = _float(pairs, "pathloss_exponent", ctx)
-    s = _float(pairs, "s", ctx)
-    p0 = _float(pairs, "p0_w", ctx)
-    noise = _float(pairs, "noise_w", ctx)
-    k_prime = _float(pairs, "k_prime", ctx)
-    zeta = _float(pairs, "zeta", ctx)
-    nu_db = _float(pairs, "nu_db", ctx)
-    # nu = 10**(nu_db/10) is positive for any nu_db, so ModelParams cannot
-    # catch a non-positive margin
-    _check(nu_db > 0.0, ctx, f"nu_db must be > 0, got {nu_db}")
-    eps_ch = _float(pairs, "eps_channel", ctx)
-    l_max = _int(pairs, "l_max", ctx)
-    n_central = _int(pairs, "n_centralized", ctx)
-    _check(n_central >= 1, ctx, f"n_centralized must be >= 1, got {n_central}")
-
-    if "epsilon" in pairs and "c_server" in pairs:
-        raise ConfigError(
-            f"{ctx}: epsilon and c_server are mutually exclusive"
-        )
-    c_server = _float(pairs, "c_server", ctx)
-    if c_server is not None:
-        _check(c_server >= 0.0, ctx, f"c_server must be >= 0, got {c_server}")
-        epsilon = None
-    else:
-        epsilon = _float(pairs, "epsilon", ctx)
-        _check(
-            0.0 <= epsilon < 1.0, ctx, f"epsilon must be in [0,1), got {epsilon}"
-        )
-
-    n_trials = _int(pairs, "n_trials", ctx)
-    _check(n_trials >= 1, ctx, f"n_trials must be >= 1, got {n_trials}")
-    cal_trials = _int(pairs, "calibration_trials", ctx)
-    if epsilon is not None:
-        # calibrating epsilon draws calibration_trials trials, n_trials if unset
-        if cal_trials is None:
-            key, n_cal = "n_trials (calibration_trials is unset)", n_trials
-        else:
-            key, n_cal = "calibration_trials", cal_trials
-        _check(n_cal >= 1000, ctx, f"{key} must be >= 1000, got {n_cal}")
-    seed = _int(pairs, "seed", ctx)
-    _check(seed >= 0, ctx, f"seed must be >= 0, got {seed}")
-    workers = _int(pairs, "workers", ctx)
-    _check(workers >= 1, ctx, f"workers must be >= 1, got {workers}")
-
-    sched_raw = pairs.get("schedulers", DEFAULTS["schedulers"])
-    schedulers = tuple(t.strip() for t in sched_raw.split(",") if t.strip())
     try:
-        check_schedulers(schedulers)
+        # c_server clears the default epsilon, but a file may not set both
+        if "epsilon" in pairs and "c_server" in pairs:
+            raise ValueError("epsilon and c_server are mutually exclusive")
+        return RunConfig(**{
+            f.name: _cast(f.name, f.type, pairs[f.name])
+            for f in fields(RunConfig)
+            if f.name in pairs
+        })
     except ValueError as exc:
-        raise ConfigError(f"{ctx}: {exc}") from None
-
-    layout_kind = pairs.get("layout_kind", DEFAULTS["layout_kind"])
-    _check(
-        layout_kind in _LAYOUT_KINDS, ctx,
-        f"layout_kind must be one of {_LAYOUT_KINDS}, got {layout_kind!r}",
-    )
-    n_bs = _int(pairs, "n_bs", ctx)
-    _check(n_bs >= 1, ctx, f"n_bs must be >= 1, got {n_bs}")
-    arena_km = _float(pairs, "arena_km", ctx)
-    _check(arena_km > 0.0, ctx, f"arena_km must be > 0, got {arena_km}")
-    layout_seed = _int(pairs, "layout_seed", ctx)
-    _check(layout_seed >= 0, ctx, f"layout_seed must be >= 0, got {layout_seed}")
-    area_samples = _int(pairs, "area_samples", ctx)
-    _check(
-        area_samples >= 10_000, ctx,
-        f"area_samples must be >= 10000, got {area_samples}",
-    )
-
-    def _values(key, cast, constraint, message):
-        raw = pairs.get(key, DEFAULTS[key])
-        items = [t.strip() for t in raw.split(",") if t.strip()]
-        _check(len(items) > 0, ctx, f"{key} must list at least one value")
-        try:
-            vals = tuple(cast(t) for t in items)
-        except ValueError:
-            raise ConfigError(
-                f"{ctx}: {key} must be comma-separated numbers, got {raw!r}"
-            ) from None
-        for v in vals:
-            _check(constraint(v), ctx, f"{key}: {message}, got {v}")
-        return vals
-
-    nc_values = _values("nc_values", int, lambda v: v >= 1, "values must be >= 1")
-    lambda_values = _values(
-        "lambda_values", float, lambda v: v > 0.0, "values must be > 0"
-    )
-    ref_lambda = _float(pairs, "reference_lambda", ctx)
-    if ref_lambda is not None:
-        _check(
-            ref_lambda > 0.0, ctx,
-            f"reference_lambda must be > 0, got {ref_lambda}",
-        )
-
-    bg_raw = pairs.get(
-        "background_interference", DEFAULTS["background_interference"]
-    )
-    _check(
-        bg_raw in ("true", "false"), ctx,
-        f"background_interference must be 'true' or 'false', got {bg_raw!r}",
-    )
-    log_level = pairs.get("log_level", DEFAULTS["log_level"])
-    _check(
-        log_level in _LOG_LEVELS, ctx,
-        f"log_level must be one of {_LOG_LEVELS}, got {log_level!r}",
-    )
-
-    try:
-        model = ModelParams(
-            k_prime=k_prime,
-            zeta=zeta,
-            nu=db_to_linear(nu_db),
-            eps_channel=eps_ch,
-            l_max=l_max,
-        )
-        phy = PhyParams(
-            pathloss_exponent=apl,
-            s=s,
-            p0=p0,
-            noise_w=noise,
-            lambda_density=lam,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{ctx}: {exc}") from None
-
-    return RunConfig(
-        model=model,
-        phy=phy,
-        epsilon=epsilon,
-        c_server=c_server,
-        n_trials=n_trials,
-        calibration_trials=cal_trials,
-        seed=seed,
-        schedulers=schedulers,
-        workers=workers,
-        n_centralized=n_central,
-        layout_file=pairs.get("layout_file"),
-        layout_kind=layout_kind,
-        n_bs=n_bs,
-        arena_km=arena_km,
-        layout_seed=layout_seed,
-        area_samples=area_samples,
-        nc_values=nc_values,
-        lambda_values=lambda_values,
-        reference_lambda=ref_lambda,
-        mcs_file=pairs.get("mcs_file"),
-        background_interference=bg_raw == "true",
-        log_level=log_level,
-        nu_db=nu_db,
-    )
+        raise ConfigError(f"{os.fspath(path)}: {exc}") from None
 
 
 def build_layout(rc: RunConfig) -> NetworkLayout:
@@ -418,14 +298,14 @@ def _write_campaign_files(result, out_dir: str) -> None:
     harness.write_summary_csv(result, os.path.join(out_dir, "summary.csv"))
 
 
-def _manifest(rc: RunConfig, args, command: str, **extra) -> None:
+def _manifest(rc: RunConfig, args, command: str, c_server=None) -> None:
     harness.write_manifest(
         os.path.join(args.out, "manifest.json"),
         command=command,
         config_mapping=rc.mapping(),
         seed=rc.seed,
         version=__version__,
-        **extra,
+        c_server=c_server,
     )
 
 
@@ -549,15 +429,13 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        rc = parse_config(args.config)
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError(f"seed must be >= 0, got {args.seed}")
-            rc = dataclasses.replace(rc, seed=args.seed)
-        if args.workers is not None:
-            if args.workers < 1:
-                raise ConfigError(f"workers must be >= 1, got {args.workers}")
-            rc = dataclasses.replace(rc, workers=args.workers)
+        # the overrides are validated by RunConfig like the file's values
+        overrides = {
+            key: getattr(args, key)
+            for key in ("seed", "workers")
+            if getattr(args, key) is not None
+        }
+        rc = dataclasses.replace(parse_config(args.config), **overrides)
         logging.basicConfig(
             stream=sys.stderr,
             level=getattr(logging, rc.log_level.upper()),

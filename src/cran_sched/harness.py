@@ -72,8 +72,10 @@ SCHEDULERS = {
 }
 
 
-def check_schedulers(names) -> None:
-    """Reject an empty, repeated or unknown scheduler selection."""
+def check_campaign(cfg) -> None:
+    """Range checks of the campaign values, shared by :class:`CampaignConfig`
+    and ``cli.RunConfig``, which carry them under the same field names."""
+    names = cfg.schedulers
     if not names:
         raise ValueError("schedulers must be non-empty")
     if len(set(names)) != len(names):
@@ -84,6 +86,30 @@ def check_schedulers(names) -> None:
                 f"unknown scheduler {name!r}: schedulers must be drawn "
                 f"from {tuple(SCHEDULERS)}"
             )
+    if cfg.n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {cfg.n_trials}")
+    if (cfg.epsilon is None) == (cfg.c_server is None):
+        raise ValueError("exactly one of epsilon and c_server must be set")
+    if cfg.epsilon is not None:
+        if not 0.0 <= cfg.epsilon < 1.0:
+            raise ValueError(f"epsilon must be in [0,1), got {cfg.epsilon}")
+        # the floor applies to the count a calibration draws
+        if cfg.calibration_trials is None:
+            key, n_cal = "n_trials (calibration_trials is unset)", cfg.n_trials
+        else:
+            key, n_cal = "calibration_trials", cfg.calibration_trials
+        if n_cal < 1000:
+            raise ValueError(f"{key} must be >= 1000, got {n_cal}")
+    if cfg.c_server is not None and not cfg.c_server >= 0.0:
+        raise ValueError(f"c_server must be >= 0, got {cfg.c_server}")
+    if cfg.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {cfg.seed}")
+    if cfg.area_samples < 10_000:
+        raise ValueError(
+            f"area_samples must be >= 10000, got {cfg.area_samples}"
+        )
+    if cfg.workers < 1:
+        raise ValueError(f"workers must be >= 1, got {cfg.workers}")
 
 
 @dataclass(frozen=True)
@@ -105,37 +131,7 @@ class CampaignConfig:
     background_interference: bool = False
 
     def __post_init__(self) -> None:
-        check_schedulers(self.schedulers)
-        if self.n_trials < 1:
-            raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
-        if (self.epsilon is None) == (self.c_server is None):
-            raise ValueError(
-                "exactly one of epsilon and c_server must be set"
-            )
-        if self.epsilon is not None and not 0.0 <= self.epsilon < 1.0:
-            raise ValueError(
-                f"epsilon must be in [0,1), got {self.epsilon}"
-            )
-        if self.c_server is not None and not self.c_server >= 0.0:
-            raise ValueError(
-                f"c_server must be >= 0, got {self.c_server}"
-            )
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if (
-            self.calibration_trials is not None
-            and self.calibration_trials < 1000
-        ):
-            raise ValueError(
-                f"calibration_trials must be >= 1000, "
-                f"got {self.calibration_trials}"
-            )
-        if self.area_samples < 10_000:
-            raise ValueError(
-                f"area_samples must be >= 10000, got {self.area_samples}"
-            )
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        check_campaign(self)
 
 
 @dataclass(frozen=True)
@@ -343,9 +339,7 @@ def campaign_geometry(config: CampaignConfig) -> CellGeometry:
 
 
 def calibrate_budget(
-    config: CampaignConfig,
-    calibration_trials: int | None = None,
-    geometry: CellGeometry | None = None,
+    config: CampaignConfig, geometry: CellGeometry | None = None
 ) -> float:
     """Budget hitting the target outage: the empirical (1-eps)-quantile of
     max-rate sum cost over an independent calibration stream.
@@ -359,15 +353,7 @@ def calibrate_budget(
             "calibrate_budget needs a config with epsilon set "
             "(got an explicit c_server instead)"
         )
-    trials = (
-        calibration_trials
-        if calibration_trials is not None
-        else (config.calibration_trials or config.n_trials)
-    )
-    if trials < 1000:
-        raise ValueError(
-            f"calibration needs at least 1000 trials, got {trials}"
-        )
+    trials = config.calibration_trials or config.n_trials
     if geometry is None:
         geometry = campaign_geometry(config)
     cells = campaign_cells(config, geometry)
@@ -499,7 +485,9 @@ def sweep_lambda(
     if config.c_server is not None:
         budget = config.c_server
     else:
-        ref = float(reference_lambda) if reference_lambda else values[0]
+        ref = (
+            values[0] if reference_lambda is None else float(reference_lambda)
+        )
         ref_cfg = dataclasses.replace(
             config, phy=dataclasses.replace(config.phy, lambda_density=ref)
         )
@@ -588,7 +576,6 @@ def write_manifest(
     seed: int,
     version: str,
     c_server: float | None = None,
-    extra: dict | None = None,
 ) -> None:
     """JSON run manifest; its config section re-parses to the same run, and
     ``backend`` names the kernel implementation that ran."""
@@ -601,6 +588,4 @@ def write_manifest(
     }
     if c_server is not None:
         doc["c_server"] = c_server
-    if extra:
-        doc.update(extra)
     _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")

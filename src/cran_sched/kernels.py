@@ -5,8 +5,7 @@ unchanged under CPython.  At import time the module compiles the whole family
 with ``numba.njit`` unless the environment variable ``CRAN_SCHED_NUMBA`` is
 set to ``0`` (or numba is unavailable); the public names point at whichever
 implementation was selected, and ``NUMBA_ENABLED`` reports the choice.  The
-test suite and ``benchmarks/bench_kernels.py`` exercise the interpreted path
-in subprocesses with the flag set.
+test suite exercises the interpreted path in a subprocess with the flag set.
 
 The kernels avoid numpy ufunc calls on purpose: scalar ``math.*`` operations
 lower to the same libm calls under numba and CPython, which keeps the two

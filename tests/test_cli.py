@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -63,6 +64,18 @@ def test_empty_config_gives_documented_defaults(tmp_path):
     assert rc.background_interference is False
     assert rc.log_level == "info"
     assert rc.nu_db == 0.2
+
+
+def test_default_config_is_the_builtin_defaults(tmp_path):
+    # configs/default.cfg documents every key, commented-out keys included,
+    # and its values are the field defaults
+    path = os.path.join(
+        os.path.dirname(__file__), "..", "configs", "default.cfg"
+    )
+    assert parse_config(path) == parse_config(write_cfg(tmp_path, ""))
+    with open(path) as fh:
+        named = re.findall(r"^#?\s*(\w+)\s*=", fh.read(), re.MULTILINE)
+    assert sorted(named) == sorted(DEFAULTS)
 
 
 def test_config_value_overrides(tmp_path):
@@ -188,6 +201,14 @@ def test_main_rejects_bad_config_value(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "error:" in err and "s must be in [0,1], got 1.5" in err
+
+
+def test_run_at_fixed_budget_skips_the_calibration_floor(tmp_path):
+    # a fixed c_server draws no calibration trials, so their floor is moot
+    body = SMALL.replace("calibration_trials = 1000",
+                         "calibration_trials = 10")
+    cfg = write_cfg(tmp_path, body + "c_server = 5\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
 def test_main_rejects_missing_config(tmp_path, capsys):

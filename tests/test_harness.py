@@ -101,13 +101,10 @@ def test_budget_from_samples_validation():
         budget_from_samples([1.0], -0.1)
 
 
-def test_calibrate_budget_needs_epsilon_and_enough_trials():
+def test_calibrate_budget_needs_epsilon():
     cfg = small_config(epsilon=None, c_server=50.0)
     with pytest.raises(ValueError, match="epsilon"):
         calibrate_budget(cfg)
-    cfg = small_config()
-    with pytest.raises(ValueError, match="1000"):
-        calibrate_budget(cfg, calibration_trials=999)
 
 
 def test_calibrate_budget_deterministic():
@@ -161,6 +158,11 @@ def test_campaign_config_validation():
         small_config(seed=-1)
     with pytest.raises(ValueError, match="calibration_trials"):
         small_config(calibration_trials=999)
+    # unset, calibration_trials defaults to n_trials, which then must reach
+    # the floor; a fixed budget draws no calibration trials
+    with pytest.raises(ValueError, match="n_trials .* >= 1000"):
+        small_config(n_trials=999, calibration_trials=None)
+    small_config(epsilon=None, c_server=50.0, calibration_trials=10)
     with pytest.raises(ValueError, match="area_samples"):
         small_config(area_samples=9999)
     with pytest.raises(ValueError, match="workers"):
@@ -366,6 +368,8 @@ def test_sweep_lambda_holds_budget_fixed(campaign):
     assert all(b >= a - 1e-12 for a, b in zip(outs, outs[1:]))
     with pytest.raises(ValueError, match="non-empty"):
         sweep_lambda(cfg, [])
+    with pytest.raises(ValueError, match="lambda_density must be > 0"):
+        sweep_lambda(cfg, [0.5], reference_lambda=0.0)
 
 
 def test_sweep_lambda_explicit_budget_skips_calibration(campaign):
@@ -451,7 +455,7 @@ def test_manifest(tmp_path):
     path = tmp_path / "manifest.json"
     write_manifest(
         path, "run", {"epsilon": "0.1"}, seed=7, version="0.1.0",
-        c_server=12.5, extra={"elapsed_s": 1.0},
+        c_server=12.5,
     )
     doc = json.loads(path.read_text())
     assert doc["command"] == "run"
@@ -459,7 +463,6 @@ def test_manifest(tmp_path):
     assert doc["seed"] == 7
     assert doc["version"] == "0.1.0"
     assert doc["c_server"] == 12.5
-    assert doc["elapsed_s"] == 1.0
 
 
 # ---------------------------------------------------------------- internals
