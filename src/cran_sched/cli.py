@@ -444,7 +444,7 @@ def main(argv=None) -> int:
         if kernels.numba_requested() and not kernels.NUMBA_ENABLED:
             log.warning(
                 "numba was requested but did not import; "
-                "running the interpreted kernels"
+                "running the NumPy kernels"
             )
         os.makedirs(args.out, exist_ok=True)
         return _COMMANDS[args.command](rc, args)

@@ -10,8 +10,8 @@ outages and have their recorded sum-rate zeroed (the ``unconstrained``
 series is the same allocation as ``mrs`` but is never scored against the
 budget).  Which schedulers exist, which kernel computes each and how each
 is scored against the budget is the one table :data:`SCHEDULERS`: adding a
-scheduler is one entry there, plus one branch in ``kernels._schedule`` if it
-needs a new kernel.
+scheduler is one entry there, plus one branch in ``kernels._schedule`` and
+one in ``batch._schedule`` if it needs a new kernel.
 
 Randomness is organized so every trial is a pure function of the master
 seed: trial ``t`` lives in chunk ``t // 4096`` and consumes one fixed-length
@@ -271,12 +271,12 @@ def _compute_chunk(payload: tuple, chunk_idx: int, rows: int) -> tuple:
         np.random.SeedSequence([seed, stream, chunk_idx])
     )
     u = rng.random((rows, row_len))
-    u_occ = np.ascontiguousarray(u[:, :n_inst])
-    u_pos = np.ascontiguousarray(u[:, n_inst: 2 * n_inst])
-    u_fade = np.ascontiguousarray(u[:, 2 * n_inst:])
     n_active = np.zeros(rows, dtype=np.int64)
     out = np.zeros((rows, len(kernel_args[-1]), 2))
-    kernels.run_chunk(u_occ, u_pos, u_fade, *kernel_args, n_active, out)
+    kernels.run_chunk(
+        u[:, :n_inst], u[:, n_inst: 2 * n_inst], u[:, 2 * n_inst:],
+        *kernel_args, n_active, out,
+    )
     return n_active, out
 
 
@@ -446,15 +446,16 @@ def sweep_nc(
     (an explicit ``c_server`` is kept as given).  All points share the
     layout's geometry and the master seed.
     """
-    if geometry is None:
-        geometry = campaign_geometry(config)
-    points = []
-    for nc in nc_values:
-        nc = int(nc)
+    values = [int(nc) for nc in nc_values]
+    for nc in values:
         if not 1 <= nc <= config.layout.n_bs:
             raise ValueError(
                 f"nc must be in [1, {config.layout.n_bs}], got {nc}"
             )
+    if geometry is None:
+        geometry = campaign_geometry(config)
+    points = []
+    for nc in values:
         layout = config.layout.with_centralized(
             most_central_ids(config.layout, nc)
         )
@@ -580,7 +581,7 @@ def write_manifest(
     """JSON run manifest; its config section re-parses to the same run, and
     ``backend`` names the kernel implementation that ran."""
     doc = {
-        "backend": "numba" if kernels.NUMBA_ENABLED else "interpreted",
+        "backend": kernels.BACKEND,
         "command": command,
         "config": config_mapping,
         "seed": seed,

@@ -1,15 +1,26 @@
 """Hot numeric kernels: per-trial SINR, greedy MCS allocation, chunk driver.
 
-Every function here is written as a plain scalar/loop routine that runs
-unchanged under CPython.  At import time the module compiles the whole family
-with ``numba.njit`` unless the environment variable ``CRAN_SCHED_NUMBA`` is
-set to ``0`` (or numba is unavailable); the public names point at whichever
-implementation was selected, and ``NUMBA_ENABLED`` reports the choice.  The
-test suite exercises the interpreted path in a subprocess with the flag set.
+Every function here is a plain scalar/loop routine that runs unchanged
+under CPython.  At import time the module compiles the whole family with
+``numba.njit`` unless the environment variable ``CRAN_SCHED_NUMBA`` is set
+to ``0`` (or numba is unavailable); ``NUMBA_ENABLED`` reports the choice.
+Three callers use the kernels:
+
+* the campaign calls :data:`run_chunk` once per chunk of uniform rows.  With
+  numba enabled that is the compiled :func:`_run_chunk`; otherwise it is
+  ``batch.run_chunk``, a trial-batched NumPy implementation that writes the
+  same bits many times faster than the interpreted loop (its module
+  docstring gives the rules that keep it bit-identical).  ``BACKEND`` names
+  the implementation in use, ``"numba"`` or ``"numpy"``;
+* the library (``sched``, ``netsim.draw_from_row``) calls the per-trial
+  kernels directly, compiled or interpreted;
+* the campaign benchmark's traced run replays trials through the public
+  per-trial kernels and compares them bit for bit with the campaign.
 
 The kernels avoid numpy ufunc calls on purpose: scalar ``math.*`` operations
-lower to the same libm calls under numba and CPython, which keeps the two
-paths bit-identical (the test suite asserts exact equality).
+lower to the same libm calls under numba and CPython, which keeps the
+compiled and interpreted kernels bit-identical (the test suite asserts exact
+equality, and also compares ``batch.run_chunk`` with :func:`_run_chunk`).
 
 Scheduling kernels operate on compacted per-user arrays (active users only)
 and break argmax ties toward the lowest array position.  All budget
@@ -366,7 +377,8 @@ def _run_chunk(
 # The whole family is rebound to compiled versions in dependency order, so
 # by the time a caller triggers the first (lazy) compilation every global a
 # kernel refers to is already a compiled dispatcher.  One mode per process:
-# flip CRAN_SCHED_NUMBA=0 to run the same sources interpreted.
+# flip CRAN_SCHED_NUMBA=0 to run the same sources interpreted, and campaigns
+# on the batched NumPy run_chunk.
 
 NUMBA_ENABLED = False
 if numba_requested():
@@ -390,6 +402,13 @@ if numba_requested():
         _run_chunk = _jit(_run_chunk)
         NUMBA_ENABLED = True
 
+# the campaign's chunk loop; batch imports the kernel ids defined above
+BACKEND = "numba" if NUMBA_ENABLED else "numpy"
+if NUMBA_ENABLED:
+    run_chunk = _run_chunk
+else:
+    from .batch import run_chunk  # noqa: E402
+
 seq_sum = _seq_sum
 max_feasible_idx = _max_feasible_idx
 complexity_value = _complexity_value
@@ -401,4 +420,3 @@ scc_trial = _scc_trial
 schedule = _schedule
 draw_arrays = _draw_arrays
 sinr_trial = _sinr_trial
-run_chunk = _run_chunk

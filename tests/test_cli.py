@@ -244,6 +244,7 @@ def test_main_warns_when_numba_is_requested_but_absent(
 ):
     cfg = write_cfg(tmp_path, SMALL)
     monkeypatch.setattr(kernels, "NUMBA_ENABLED", False)
+    monkeypatch.setattr(kernels, "BACKEND", "numpy")
     for flag, warned in (("1", True), ("0", False)):
         monkeypatch.setenv("CRAN_SCHED_NUMBA", flag)
         caplog.clear()
@@ -251,8 +252,9 @@ def test_main_warns_when_numba_is_requested_but_absent(
         assert main(["layout-gen", "--config", cfg, "--out", str(out)]) == 0
         hits = [r for r in caplog.records if "numba" in r.getMessage()]
         assert len(hits) == int(warned), flag
+        assert all("running the NumPy kernels" in r.getMessage() for r in hits)
         doc = json.loads((out / "manifest.json").read_text())
-        assert doc["backend"] == "interpreted"
+        assert doc["backend"] == "numpy"
 
 
 def test_layout_gen_writes_loadable_layout(tmp_path, capsys):
@@ -313,9 +315,7 @@ def test_run_writes_all_artifacts(tmp_path, capsys):
     doc = json.loads((out / "manifest.json").read_text())
     assert doc["command"] == "run"
     assert doc["c_server"] > 0.0
-    assert doc["backend"] == (
-        "numba" if kernels.NUMBA_ENABLED else "interpreted"
-    )
+    assert doc["backend"] == ("numba" if kernels.NUMBA_ENABLED else "numpy")
 
 
 def test_run_is_reproducible_byte_for_byte(tmp_path):

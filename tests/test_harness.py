@@ -357,6 +357,17 @@ def test_sweep_nc_reselects_and_recalibrates(campaign):
         sweep_nc(cfg, [cfg.layout.n_bs + 1])
 
 
+def test_sweep_nc_checks_every_value_before_the_first_campaign(monkeypatch):
+    cfg = small_config()
+    calls = []
+    monkeypatch.setattr(
+        harness, "run_campaign", lambda *args, **kw: calls.append(args)
+    )
+    with pytest.raises(ValueError, match="nc must be"):
+        sweep_nc(cfg, [2, cfg.layout.n_bs + 1])
+    assert calls == []
+
+
 def test_sweep_lambda_holds_budget_fixed(campaign):
     cfg, _ = campaign
     pts = sweep_lambda(
