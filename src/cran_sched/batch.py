@@ -1,13 +1,14 @@
 """Trial-batched NumPy ``run_chunk``: the campaign kernel when numba is off.
 
 :func:`run_chunk` takes the arguments of ``kernels._run_chunk`` and writes
-the same outputs, bit for bit, but works on blocks of trials at once instead
-of one trial at a time.  A block holds at most :data:`BLOCK_ELEMENTS`
-elements of rows x instantiated cells x scheduled cells.  Inactive users
-stay in place as padding (no ladder entry, cost ``0.0``), so every array is
-(rows x cells) and a trial's users keep the scalar kernels' order.
+the same outputs, bit for bit, but works on a block of trials at once
+instead of one trial at a time.  ``harness`` owns the block loop: it draws a
+chunk's uniforms one block at a time and calls :func:`run_chunk` once per
+block.  Inactive users stay in place as padding (no ladder entry, cost
+``0.0``), so every array is (rows x cells) and a trial's users keep the
+scalar kernels' order.
 
-Bit-identity with the scalar kernels rests on four rules:
+Bit-identity with the scalar kernels rests on five rules:
 
 * NumPy does only ``+ - * /``, comparisons and ``sqrt``, which are correctly
   rounded on every SIMD path.
@@ -20,14 +21,19 @@ Bit-identity with the scalar kernels rests on four rules:
 * The max-feasible entry is ``searchsorted(thresholds, sinr, "right") - 1``,
   the scalar binary search's answer.  Ties in the greedy choices go to the
   first user, as ``np.argmax`` and a stable sort pick them.
+* The power terms that depend only on a user's position are computed once
+  per pool point and stream, into a memo (:func:`pool_memo`), and read back
+  by index.  A libm call gives the same double for the same argument, and
+  the products keep the scalar order ``((p0 * tx) * fading) * loss``.
 
 The per-element libm calls dominate the cost, so they are made only where
-the scalar kernels use their results: the power terms and fading gains of
-occupied cells and the capacities of active users.  The greedy step-down
-loops only over the rows still over budget and recomputes only the user
-that stepped; swf caches each user's water level, and its re-add pass
-visits the dropped users in a stable descending order of their initial
-level.
+the scalar kernels use their results: the power terms of pool points not
+yet in the memo, the fading gains of occupied cells and the capacities of
+active users.  The greedy step-down loops only over the rows still over
+budget and recomputes only the user that stepped, reusing the
+``log2(cap - rate)`` of its cost for its water level; swf caches each
+user's water level, and its re-add pass visits the dropped users in a
+stable descending order of their initial level.
 """
 
 from __future__ import annotations
@@ -39,17 +45,18 @@ import numpy as np
 
 from .kernels import _LN2, MRS, SCC, SWF
 
-# elements of rows x n_inst x nc per block of trials
-BLOCK_ELEMENTS = 2**16
+# memo columns: filled flag, d_serv**(s*apl), d_serv**((s-1)*apl), then
+# cross**(-apl) to the BS of each scheduled cell
+_FLAG, _TX, _SIG, _LOSS = 0, 1, 2, 3
 
 
 def _each(fn, x, *args):
     """``fn(v, *args)`` for each element ``v`` of ``x``, called from CPython
     on Python floats, so that ``math`` functions and ``pow`` run libm."""
-    values = x.tolist()
+    # iterating a memoryview gives the Python floats faster than tolist()
     return np.fromiter(
-        map(fn, values, *(repeat(a) for a in args)),
-        np.float64, count=len(values),
+        map(fn, memoryview(np.ascontiguousarray(x)), *map(repeat, args)),
+        np.float64, count=x.size,
     )
 
 
@@ -66,13 +73,41 @@ def _distance(dx, dy, dmin):
     return np.maximum(np.sqrt(dx * dx + dy * dy), dmin)
 
 
+def pool_memo(n_points, nc):
+    """A zeroed memo of the position-only power terms of ``n_points`` pool
+    points, for one stream of trials: :func:`_channel` fills a point's row
+    the first time a trial draws it (see :func:`_fill`)."""
+    return np.zeros((n_points, _LOSS + nc))
+
+
+def _fill(memo, new, owner, pool_xy, bs_xy, dmin, nc, apl, s):
+    """Compute the memo rows of pool points ``new``, drawn by their cells
+    ``owner``: what ``kernels._sinr_trial`` raises to a power for a user
+    there (its own cell's loss and, for a background cell, its signal term
+    are never used and stay ``0.0``)."""
+    px, py = pool_xy[new, 0], pool_xy[new, 1]
+    d_serv = _distance(px - bs_xy[owner, 0], py - bs_xy[owner, 1], dmin)
+    memo[new, _TX] = _each(pow, d_serv, s * apl)
+    own = owner < nc
+    memo[new[own], _SIG] = _each(pow, d_serv[own], (s - 1.0) * apl)
+    cross = _distance(
+        px[:, None] - bs_xy[:nc, 0], py[:, None] - bs_xy[:nc, 1], dmin
+    )
+    other = owner[:, None] != np.arange(nc)
+    loss = np.zeros(cross.shape)
+    loss[other] = _each(pow, cross[other], -apl)
+    memo[new, _LOSS:] = loss
+    memo[new, _FLAG] = 1.0
+
+
 def _channel(
     u_occ, u_pos, u_fade, p_occ, pool_xy, pool_off, bs_xy, dmin, nc,
-    p0, noise, apl, s,
+    p0, noise, apl, s, memo,
 ):
     """Occupancy (rows x n_inst) and SINR (rows x nc) of a block of trials,
     as ``kernels._draw_arrays`` and ``kernels._sinr_trial`` compute them.
-    The SINR of an unoccupied cell is left unspecified."""
+    The SINR of an unoccupied cell is left unspecified.  Fills ``memo`` for
+    the occupied pool points it draws first."""
     rows, n_inst = u_occ.shape
     occ = u_occ < p_occ
     occ_k = occ[:, :nc]
@@ -80,13 +115,13 @@ def _channel(
     npts = pool_off[1: n_inst + 1] - pool_off[:n_inst]
     j = (u_pos * npts).astype(np.int64)
     np.minimum(j, npts - 1, out=j)
-    pts = pool_xy[pool_off[:n_inst] + j]
-    px, py = pts[:, :, 0], pts[:, :, 1]
-    d_serv = _distance(px - bs_xy[:n_inst, 0], py - bs_xy[:n_inst, 1], dmin)
-    # user i to the BS of scheduled cell k: (rows, n_inst, nc)
-    cross = _distance(
-        px[:, :, None] - bs_xy[:nc, 0], py[:, :, None] - bs_xy[:nc, 1], dmin
-    )
+    g = pool_off[:n_inst] + j
+    need = occ & (memo[g, _FLAG] == 0.0)
+    if need.any():
+        new, first = np.unique(g[need], return_index=True)
+        owner = np.nonzero(need)[1][first]
+        _fill(memo, new, owner, pool_xy, bs_xy, dmin, nc, apl, s)
+    terms = memo[g]
 
     # fading gains where user i and cell k are both occupied
     pair = occ[:, :, None] & occ_k[:, None, :]
@@ -96,43 +131,42 @@ def _channel(
 
     # interference from occupied user i at occupied cell k != i
     pair &= ~np.eye(n_inst, nc, dtype=np.bool_)
-    loss = np.zeros((rows, n_inst, nc))
-    loss[pair] = _each(pow, cross[pair], -apl)
-    tx = np.zeros((rows, n_inst))
-    tx[occ] = _each(pow, d_serv[occ], s * apl)
+    loss = np.where(pair, terms[:, :, _LOSS:], 0.0)
+    tx = np.where(occ, terms[:, :, _TX], 0.0)
     term = (p0 * tx)[:, :, None] * fading * loss
     den = np.full((rows, nc), noise)
     for i in range(n_inst):
         den += term[:, i, :]
 
     diag = np.arange(nc)
-    sig = np.zeros((rows, nc))
-    sig[occ_k] = _each(pow, d_serv[:, :nc][occ_k], (s - 1.0) * apl)
+    sig = np.where(occ_k, terms[:, :nc, _SIG], 0.0)
     num = p0 * fading[:, diag, diag] * sig
     return occ, num / den
 
 
 def _costs(idx, cap, rates, c0, ilz):
-    """``kernels._complexity_value`` at ladder entries ``idx`` (any shape);
-    ``0.0`` where ``idx < 0``."""
+    """``kernels._complexity_value`` at ladder entries ``idx`` (any shape),
+    ``0.0`` where ``idx < 0``, and the ``log2(cap - rate)`` it takes there,
+    which :func:`_levels` reuses."""
     comp = np.zeros(idx.shape)
-    rate = np.where(idx >= 0, rates[idx], 0.0)
-    sel = rate > 0.0
-    r = rate[sel]
-    raw = r * ilz * (c0 - 2.0 * _each(math.log2, cap[sel] - r))
-    comp[sel] = np.where(raw > 0.0, raw, 0.0)
-    return comp
+    lg = np.zeros(idx.shape)
+    sel = idx >= 0
+    rate = rates[idx[sel]]
+    lg[sel] = _each(math.log2, cap[sel] - rate)
+    raw = rate * ilz * (c0 - 2.0 * lg[sel])
+    comp[sel] = np.where((rate > 0.0) & (raw > 0.0), raw, 0.0)
+    return comp, lg
 
 
-def _levels(idx, cap, comp, rates, c0, ilz):
+def _levels(idx, cap, comp, lg, rates, c0, ilz):
     """The water level of ``kernels._water_level_and_beta`` at ladder entries
-    ``idx`` (any shape); ``-inf`` where ``idx < 0``."""
+    ``idx`` (any shape), given their :func:`_costs`; ``-inf`` where
+    ``idx < 0``."""
     wl = np.full(idx.shape, -np.inf)
     sel = idx >= 0
     rate = rates[idx[sel]]
-    g = cap[sel] - rate
-    a = -1.0 / (_LN2 * g)
-    b = _each(math.log2, g) - a * rate
+    a = -1.0 / (_LN2 * (cap[sel] - rate))
+    b = lg[sel] - a * rate
     alpha = -2.0 * a * ilz
     beta = (c0 - 2.0 * b) * ilz
     wl[sel] = np.sqrt(4.0 * alpha * comp[sel] + beta * beta)
@@ -140,11 +174,12 @@ def _levels(idx, cap, comp, rates, c0, ilz):
 
 
 def _step_down(idx, comp, rows, best, cap, rates, c0, ilz):
-    """Move user ``best`` of each row in ``rows`` one ladder entry down."""
+    """Move user ``best`` of each row in ``rows`` one ladder entry down;
+    returns the new entries and their ``log2(cap - rate)``."""
     i = idx[rows, best] - 1
     idx[rows, best] = i
-    comp[rows, best] = _costs(i, cap[rows, best], rates, c0, ilz)
-    return i
+    comp[rows, best], lg = _costs(i, cap[rows, best], rates, c0, ilz)
+    return i, lg
 
 
 def _swf(mf, cap, init_c, wl0, rates, c0, ilz, budget):
@@ -155,9 +190,9 @@ def _swf(mf, cap, init_c, wl0, rates, c0, ilz, budget):
         best = np.argmax(wl[rows], axis=1)
         has = wl[rows, best] > -np.inf
         rows, best = rows[has], best[has]
-        i = _step_down(idx, comp, rows, best, cap, rates, c0, ilz)
+        i, lg = _step_down(idx, comp, rows, best, cap, rates, c0, ilz)
         wl[rows, best] = _levels(
-            i, cap[rows, best], comp[rows, best], rates, c0, ilz
+            i, cap[rows, best], comp[rows, best], lg, rates, c0, ilz
         )
         rows = rows[_seq_sum(comp[rows]) > budget]
 
@@ -195,14 +230,14 @@ def _schedule(act, sinr, thresholds, rates, c0, ilz, budget, kinds, out):
     mf = np.where(act, np.searchsorted(thresholds, sinr, "right") - 1, -1)
     cap = np.zeros(act.shape)
     cap[act] = _each(math.log2, 1.0 + sinr[act])
-    init_c = _costs(mf, cap, rates, c0, ilz)
+    init_c, lg = _costs(mf, cap, rates, c0, ilz)
     wl0 = None
     for j, kind in enumerate(kinds):
         if kind == MRS:
             idx, comp = mf, init_c
         elif kind == SWF:
             if wl0 is None:
-                wl0 = _levels(mf, cap, init_c, rates, c0, ilz)
+                wl0 = _levels(mf, cap, init_c, lg, rates, c0, ilz)
             idx, comp = _swf(mf, cap, init_c, wl0, rates, c0, ilz, budget)
         elif kind == SCC:
             idx, comp = _scc(mf, cap, init_c, rates, c0, ilz, budget)
@@ -216,22 +251,16 @@ def run_chunk(
     u_occ, u_pos, u_fade,
     p_occ, pool_xy, pool_off, bs_xy, dmin, nc,
     thresholds, rates, c0, ilz,
-    p0, noise, apl, s,
+    p0, noise, apl, s, memo,
     budget, kinds,
     out_n_active, out,
 ):
-    """``kernels._run_chunk``, computed a block of trials at a time."""
-    rows = u_occ.shape[0]
-    n_inst = p_occ.shape[0]
-    step = max(1, BLOCK_ELEMENTS // (n_inst * nc))
-    for a in range(0, rows, step):
-        b = min(a + step, rows)
-        occ, sinr = _channel(
-            u_occ[a:b], u_pos[a:b], u_fade[a:b],
-            p_occ, pool_xy, pool_off, bs_xy, dmin, nc, p0, noise, apl, s,
-        )
-        act = occ[:, :nc]
-        out_n_active[a:b] = np.count_nonzero(act, axis=1)
-        _schedule(
-            act, sinr, thresholds, rates, c0, ilz, budget, kinds, out[a:b]
-        )
+    """``kernels._run_chunk`` on a block of trials at once; ``memo`` is the
+    stream's :func:`pool_memo`, which it fills as points are drawn."""
+    occ, sinr = _channel(
+        u_occ, u_pos, u_fade,
+        p_occ, pool_xy, pool_off, bs_xy, dmin, nc, p0, noise, apl, s, memo,
+    )
+    act = occ[:, :nc]
+    out_n_active[:] = np.count_nonzero(act, axis=1)
+    _schedule(act, sinr, thresholds, rates, c0, ilz, budget, kinds, out)

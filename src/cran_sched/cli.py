@@ -15,7 +15,6 @@ import dataclasses
 import logging
 import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
 
 from . import __version__, harness, kernels
@@ -451,6 +450,10 @@ def main(argv=None) -> int:
     except (ConfigError, LayoutError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenProcessPool as exc:
+    except Exception as exc:
+        # the pool module is imported only by a run with workers > 1
+        pool = sys.modules.get("concurrent.futures.process")
+        if pool is None or not isinstance(exc, pool.BrokenProcessPool):
+            raise
         print(f"error: a worker process died: {exc}", file=sys.stderr)
         return 2

@@ -31,15 +31,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import multiprocessing
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from . import kernels
+from . import batch, kernels
 from .complexity import ModelParams
 from .mcs import McsTable
 from .netsim import (
@@ -55,6 +54,10 @@ from .netsim import (
 
 # one uniform-row chunk = one unit of (parallel) work
 CHUNK_TRIALS = 4096
+
+# a chunk is drawn and computed in blocks of at most this many elements of
+# rows x instantiated cells x scheduled cells
+BLOCK_ELEMENTS = 2**16
 
 # sub-stream ids under the master seed
 EVAL_STREAM = 1
@@ -251,32 +254,45 @@ def _payload(
     budget: float,
     kinds,
 ) -> tuple:
-    """``(seed, stream, n_inst, row_len, kernel_args)``; ``kernel_args`` are
-    the arguments of ``kernels.run_chunk`` between the uniforms and the
-    outputs, ending with the kernel ids to run."""
+    """``(seed, stream, n_inst, row_len, block_rows, kernel_args)``;
+    ``kernel_args`` are the arguments of ``kernels.run_chunk`` between the
+    uniforms and the outputs, ending with the kernel ids to run.  They hold
+    the stream's zeroed pool-point memo, so a payload serves one stream."""
     kernel_args = (
         cells.p_occ, cells.pool_xy, cells.pool_off, cells.bs_xy,
         MIN_DISTANCE_KM, cells.nc,
         table.thresholds, table.rates, *model.kernel_constants(),
         phy.p0, phy.noise_w, phy.pathloss_exponent, phy.s,
+        batch.pool_memo(cells.pool_xy.shape[0], cells.nc),
         budget, np.array(kinds, dtype=np.int64),
     )
-    return seed, stream, cells.n_inst, cells.row_len, kernel_args
+    block_rows = max(1, BLOCK_ELEMENTS // (cells.n_inst * cells.nc))
+    return seed, stream, cells.n_inst, cells.row_len, block_rows, kernel_args
+
+
+def _uniform_blocks(payload: tuple, chunk_idx: int, rows: int):
+    """``(a, b, u)`` per block: the chunk's uniform rows ``a:b``.  Drawn one
+    block at a time, they are the doubles of ``rng.random((rows,
+    row_len))``, in the same order."""
+    seed, stream, _n_inst, row_len, block_rows, _args = payload
+    rng = np.random.default_rng(
+        np.random.SeedSequence([seed, stream, chunk_idx])
+    )
+    for a in range(0, rows, block_rows):
+        b = min(a + block_rows, rows)
+        yield a, b, rng.random((b - a, row_len))
 
 
 def _compute_chunk(payload: tuple, chunk_idx: int, rows: int) -> tuple:
     """``(n_active, out)`` for one chunk; ``out`` is (rows, kernels, 2)."""
-    seed, stream, n_inst, row_len, kernel_args = payload
-    rng = np.random.default_rng(
-        np.random.SeedSequence([seed, stream, chunk_idx])
-    )
-    u = rng.random((rows, row_len))
+    n_inst, kernel_args = payload[2], payload[-1]
     n_active = np.zeros(rows, dtype=np.int64)
     out = np.zeros((rows, len(kernel_args[-1]), 2))
-    kernels.run_chunk(
-        u[:, :n_inst], u[:, n_inst: 2 * n_inst], u[:, 2 * n_inst:],
-        *kernel_args, n_active, out,
-    )
+    for a, b, u in _uniform_blocks(payload, chunk_idx, rows):
+        kernels.run_chunk(
+            u[:, :n_inst], u[:, n_inst: 2 * n_inst], u[:, 2 * n_inst:],
+            *kernel_args, n_active[a:b], out[a:b],
+        )
     return n_active, out
 
 
@@ -298,6 +314,10 @@ def _run_chunks(payload: tuple, n_trials: int, workers: int) -> tuple:
         for chunk_idx, start, rows in specs:
             place(start, rows, _compute_chunk(payload, chunk_idx, rows))
     else:
+        # only a pool pays for importing the pool machinery
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         global _PAYLOAD
         _PAYLOAD = payload
         try:
@@ -519,15 +539,20 @@ def _atomic_write(path, text: str) -> None:
 
 def write_per_trial_csv(result: CampaignResult, path) -> None:
     """`trial,scheduler,sum_rate,sum_complexity,outage,n_active` rows."""
-    lines = ["trial,scheduler,sum_rate,sum_complexity,outage,n_active"]
-    for t in range(result.n_trials):
-        na = int(result.n_active[t])
-        for name in result.schedulers:
-            s = result.series[name]
-            lines.append(
-                f"{t},{name},{float(s.sum_rate[t])!r},"
-                f"{float(s.sum_complexity[t])!r},{int(s.outage[t])},{na}"
+    # Python floats and ints from tolist() format faster than NumPy scalars
+    n_active = result.n_active.tolist()
+    columns = []
+    for name in result.schedulers:
+        s = result.series[name]
+        columns.append([
+            f"{t},{name},{r!r},{c!r},{o:d},{na}"
+            for t, r, c, o, na in zip(
+                range(result.n_trials), s.sum_rate.tolist(),
+                s.sum_complexity.tolist(), s.outage.tolist(), n_active,
             )
+        ])
+    lines = ["trial,scheduler,sum_rate,sum_complexity,outage,n_active"]
+    lines.extend(chain.from_iterable(zip(*columns)))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -550,7 +575,7 @@ def write_cdf_csvs(result: CampaignResult, out_dir) -> list[str]:
         for metric in ("sum_rate", "sum_complexity"):
             table = result.cdf(name, metric)
             lines = ["value,fraction"]
-            lines.extend(f"{float(v)!r},{float(f)!r}" for v, f in table)
+            lines.extend(f"{v!r},{f!r}" for v, f in table.tolist())
             path = os.path.join(out_dir, f"cdf_{name}_{metric}.csv")
             _atomic_write(path, "\n".join(lines) + "\n")
             paths.append(path)

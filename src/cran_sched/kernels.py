@@ -6,12 +6,13 @@ under CPython.  At import time the module compiles the whole family with
 to ``0`` (or numba is unavailable); ``NUMBA_ENABLED`` reports the choice.
 Three callers use the kernels:
 
-* the campaign calls :data:`run_chunk` once per chunk of uniform rows.  With
-  numba enabled that is the compiled :func:`_run_chunk`; otherwise it is
-  ``batch.run_chunk``, a trial-batched NumPy implementation that writes the
-  same bits many times faster than the interpreted loop (its module
-  docstring gives the rules that keep it bit-identical).  ``BACKEND`` names
-  the implementation in use, ``"numba"`` or ``"numpy"``;
+* the campaign calls :data:`run_chunk` once per block of uniform rows
+  (``harness`` splits each chunk into blocks).  With numba enabled that is
+  the compiled :func:`_run_chunk`; otherwise it is ``batch.run_chunk``, a
+  trial-batched NumPy implementation that writes the same bits many times
+  faster than the interpreted loop (its module docstring gives the rules
+  that keep it bit-identical).  ``BACKEND`` names the implementation in
+  use, ``"numba"`` or ``"numpy"``;
 * the library (``sched``, ``netsim.draw_from_row``) calls the per-trial
   kernels directly, compiled or interpreted;
 * the campaign benchmark's traced run replays trials through the public
@@ -327,14 +328,15 @@ def _run_chunk(
     u_occ, u_pos, u_fade,
     p_occ, pool_xy, pool_off, bs_xy, dmin, nc,
     thresholds, rates, c0, ilz,
-    p0, noise, apl, s,
+    p0, noise, apl, s, memo,
     budget, kinds,
     out_n_active, out,
 ):
-    """Full per-trial pipeline over one chunk of uniform rows.
+    """Full per-trial pipeline over one block of uniform rows.
 
     Runs scheduler ``kinds[j]`` on every trial's active users and writes
-    ``out[t, j] = (sum_rate, sum_complexity)``.
+    ``out[t, j] = (sum_rate, sum_complexity)``.  ``memo`` is the batched
+    path's pool-point memo (``batch.pool_memo``); this loop does not use it.
     """
     rows = u_occ.shape[0]
     n_inst = p_occ.shape[0]

@@ -37,9 +37,9 @@ from . import kernels
 # distances below 10 m are clamped to keep the path-loss model sane
 MIN_DISTANCE_KM = 0.01
 
-# sample points per nearest-BS pass in estimate_cell_areas; bounds the
-# (points x BSs) distance temporaries to a few MB
-_OWNER_CHUNK = 4096
+# sample points per nearest-BS pass in estimate_cell_areas; keeps the
+# (points x BSs) distance temporaries in cache
+_OWNER_CHUNK = 512
 
 
 class LayoutError(ValueError):

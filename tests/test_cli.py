@@ -1,5 +1,6 @@
 """Config parsing and command-line workflow tests."""
 
+import dataclasses
 import json
 import os
 import re
@@ -8,10 +9,17 @@ import sys
 
 import pytest
 
-from cran_sched import ModelParams, PhyParams, kernels, load_layout
+from cran_sched import (
+    CampaignConfig,
+    ModelParams,
+    PhyParams,
+    kernels,
+    load_layout,
+)
 from cran_sched.cli import (
     DEFAULTS,
     ConfigError,
+    RunConfig,
     build_campaign,
     build_layout,
     build_mcs_table,
@@ -76,6 +84,19 @@ def test_default_config_is_the_builtin_defaults(tmp_path):
     with open(path) as fh:
         named = re.findall(r"^#?\s*(\w+)\s*=", fh.read(), re.MULTILINE)
     assert sorted(named) == sorted(DEFAULTS)
+
+
+def test_campaign_config_defaults_are_the_config_defaults():
+    # the library's CampaignConfig repeats the defaults of the config keys
+    # it shares with RunConfig; they must not drift apart
+    run = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+    shared = [
+        f for f in dataclasses.fields(CampaignConfig)
+        if f.default is not dataclasses.MISSING
+    ]
+    assert len(shared) == 9
+    for f in shared:
+        assert f.default == run[f.name], f.name
 
 
 def test_config_value_overrides(tmp_path):
@@ -237,6 +258,22 @@ def test_main_reports_a_dead_worker(tmp_path, capsys, monkeypatch):
     )
     assert code == 2
     assert capsys.readouterr().err.startswith("error: a worker process died")
+
+
+def test_the_process_pool_is_imported_only_with_workers():
+    # a single-worker run does not pay for importing the pool machinery
+    # (numba is kept out: it may import multiprocessing itself)
+    code = (
+        "import sys, cran_sched.cli; "
+        "print(sorted(m for m in ('multiprocessing', "
+        "'concurrent.futures.process') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, CRAN_SCHED_NUMBA="0"), timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_main_warns_when_numba_is_requested_but_absent(

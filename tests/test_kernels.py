@@ -6,7 +6,10 @@ produce the bits of the scalar kernels run interpreted
 (``kernels._run_chunk``):
 
 * the batched path is compared with the scalar loop, exactly, on chunks of
-  the benchmark workloads and on edge cases;
+  the benchmark workloads and on edge cases, run a block at a time with one
+  pool-point memo per stream as the campaign runs it;
+* the campaign's per-block uniform draws are the one-shot draw of a chunk,
+  and a pool point's power terms are computed at most once per stream;
 * a full campaign under numba must match one with ``CRAN_SCHED_NUMBA=0``.
   Each runs in its own subprocess because the selection happens at import
   time.  That comparison needs numba; where it does not import, the test is
@@ -118,24 +121,50 @@ def kernel_args(cells, config, budget, kinds=ALL_KINDS):
     )[-1]
 
 
-def assert_paths_equal(u, cells, args):
-    """Run the batched and the scalar chunk loops on the uniform rows
-    ``u``; their outputs must be equal, bit for bit."""
-    n_inst = cells.n_inst
-    views = (u[:, :n_inst], u[:, n_inst: 2 * n_inst], u[:, 2 * n_inst:])
-    rows, n_kinds = u.shape[0], len(args[-1])
-    got_n, got = np.zeros(rows, np.int64), np.zeros((rows, n_kinds, 2))
-    ref_n, ref = np.zeros(rows, np.int64), np.zeros((rows, n_kinds, 2))
-    batch.run_chunk(*views, *args, got_n, got)
+def block_rows(cells):
+    return harness.BLOCK_ELEMENTS // (cells.n_inst * cells.nc)
+
+
+def split(u, n_inst):
+    """The occupancy, position and fading uniforms of the rows ``u``."""
+    return u[:, :n_inst], u[:, n_inst: 2 * n_inst], u[:, 2 * n_inst:]
+
+
+def scalar_run(u, n_inst, args):
+    """``(n_active, out)`` of the scalar chunk loop on the uniform rows
+    ``u``."""
+    rows = u.shape[0]
+    n_active = np.zeros(rows, np.int64)
+    out = np.zeros((rows, len(args[-1]), 2))
     kernels._run_chunk(
-        *(np.ascontiguousarray(v) for v in views), *args, ref_n, ref
+        *map(np.ascontiguousarray, split(u, n_inst)), *args, n_active, out
     )
+    return n_active, out
+
+
+def assert_outputs_equal(got, ref):
+    (got_n, got), (ref_n, ref) = got, ref
     np.testing.assert_array_equal(got_n, ref_n)
     bad = np.flatnonzero((got != ref).any(axis=(1, 2)))
     assert bad.size == 0, (
-        f"{bad.size} of {rows} trials differ, first {bad[0]}: "
+        f"{bad.size} of {got.shape[0]} trials differ, first {bad[0]}: "
         f"{got[bad[0]].tolist()} != {ref[bad[0]].tolist()}"
     )
+
+
+def assert_paths_equal(u, cells, args):
+    """Run the batched path, a block at a time as the campaign does, and
+    the scalar chunk loop on the uniform rows ``u``; their outputs must be
+    equal, bit for bit."""
+    rows, step = u.shape[0], block_rows(cells)
+    got_n = np.zeros(rows, np.int64)
+    got = np.zeros((rows, len(args[-1]), 2))
+    for a in range(0, rows, step):
+        b = a + step
+        batch.run_chunk(
+            *split(u[a:b], cells.n_inst), *args, got_n[a:b], got[a:b]
+        )
+    assert_outputs_equal((got_n, got), scalar_run(u, cells.n_inst, args))
     return got_n, got
 
 
@@ -267,7 +296,8 @@ def test_batched_sinr_equals_scalar_with_floored_gains():
     args = kernel_args(cells, config, 3.0)
     occ, sinr = batch._channel(
         u[:, :n_inst], u[:, n_inst: 2 * n_inst], u[:, 2 * n_inst:],
-        *args[:6], *args[10:14],  # the cell arrays, then p0, noise, apl, s
+        # the cell arrays, then p0, noise, apl, s and the pool-point memo
+        *args[:6], *args[10:15],
     )
     for t in range(u.shape[0]):
         ref_occ, ref_sinr = scalar_sinr(config, cells, u[t])
@@ -296,13 +326,99 @@ def test_batched_sinr_exactly_on_a_threshold():
         assert_paths_equal(u, cells, kernel_args(cells, config, budget))
 
 
-def test_batched_one_row_and_one_past_a_block():
+def scalar_chunk(payload, chunk, rows):
+    """The scalar chunk loop on the chunk's uniforms, drawn in one piece."""
+    seed, stream, n_inst, row_len, _block_rows, args = payload
+    return scalar_run(
+        uniforms(seed, stream, chunk, rows, row_len), n_inst, args
+    )
+
+
+def test_batched_one_row_and_one_past_a_block(monkeypatch):
+    monkeypatch.setattr(kernels, "run_chunk", batch.run_chunk)
     config, cells = small_cells(background=True)
-    step = batch.BLOCK_ELEMENTS // (cells.n_inst * cells.nc)
-    args = kernel_args(cells, config, 3.0)
+    step = block_rows(cells)
     for rows in (1, step + 1):
-        assert_paths_equal(
-            uniforms(7, 1, 3, rows, cells.row_len), cells, args
+        payload = harness._payload(
+            cells, config.table, config.model, config.phy, config.seed,
+            harness.EVAL_STREAM, 3.0, ALL_KINDS,
+        )
+        assert_outputs_equal(
+            harness._compute_chunk(payload, 3, rows),
+            scalar_chunk(payload, 3, rows),
+        )
+
+
+def test_uniform_blocks_equal_the_one_shot_draw():
+    config, cells = small_cells(background=True)
+    payload = harness._payload(
+        cells, config.table, config.model, config.phy, 11,
+        harness.EVAL_STREAM, 3.0, ALL_KINDS,
+    )
+    step = block_rows(cells)
+    assert payload[4] == step and step * cells.n_inst * cells.nc <= (
+        harness.BLOCK_ELEMENTS
+    )
+    rows = 2 * step + 7
+    blocks = list(harness._uniform_blocks(payload, 5, rows))
+    assert [(a, b) for a, b, _u in blocks] == [
+        (0, step), (step, 2 * step), (2 * step, rows)
+    ]
+    one_shot = uniforms(11, harness.EVAL_STREAM, 5, rows, cells.row_len)
+    np.testing.assert_array_equal(
+        np.concatenate([u for _a, _b, u in blocks]), one_shot
+    )
+
+
+def test_pool_point_drawn_in_two_blocks_equals_scalar():
+    config, cells = small_cells(background=True)
+    n_inst = cells.n_inst
+    u = uniforms(7, 1, 5, 40, cells.row_len)
+    u[:, :n_inst] = 0.0                 # every cell occupied ...
+    u[20:, n_inst: 2 * n_inst] = u[:20, n_inst: 2 * n_inst]
+    u[20:, 2 * n_inst:] = u[:20, 2 * n_inst:][::-1]  # ... new gains
+    args = kernel_args(cells, config, 3.0)
+    memo = args[14]
+    assert not memo.any()
+    assert_paths_equal(u[:20], cells, args)
+    filled = memo.copy()
+    assert (filled[:, 0] == 1.0).sum() > 0
+    # the second block reads the same points from the memo
+    assert_paths_equal(u[20:], cells, args)
+    np.testing.assert_array_equal(memo, filled)
+
+
+def test_pool_point_terms_are_computed_once_per_stream(monkeypatch):
+    monkeypatch.setattr(kernels, "run_chunk", batch.run_chunk)
+    fill = batch._fill
+    filled = []
+
+    def counted(memo, new, *args):
+        filled.append(new.copy())
+        fill(memo, new, *args)
+
+    monkeypatch.setattr(batch, "_fill", counted)
+    config, cells = small_cells(background=True)
+    payload = harness._payload(
+        cells, config.table, config.model, config.phy, config.seed,
+        harness.EVAL_STREAM, 3.0, ALL_KINDS,
+    )
+    # three chunks, the last one partial, each of several blocks
+    n_trials = 2 * harness.CHUNK_TRIALS + 100
+    n_active, out = harness._run_chunks(payload, n_trials, workers=1)
+    points = np.concatenate(filled)
+    assert len(filled) > 3
+    assert np.unique(points).size == points.size, "a point was recomputed"
+    memo = payload[-1][14]
+    np.testing.assert_array_equal(
+        np.flatnonzero(memo[:, 0]), np.sort(points)
+    )
+    for chunk in (0, 2):
+        a = chunk * harness.CHUNK_TRIALS
+        rows = min(harness.CHUNK_TRIALS, n_trials - a)
+        assert_outputs_equal(
+            (n_active[a: a + rows], out[a: a + rows]),
+            scalar_chunk(payload, chunk, rows),
         )
 
 
