@@ -14,7 +14,11 @@ Bit-identity with the scalar kernels rests on five rules:
   rounded on every SIMD path.
 * ``log1p``, ``pow`` and ``log2`` go through CPython's ``math`` and ``pow``
   (libm) one element at a time (:func:`_each`).  NumPy's vectorised versions
-  of them may differ from libm in the last bit.
+  of them may differ from libm in the last bit.  The element-wise function
+  is the ``each`` parameter of :func:`run_chunk`; its default is
+  :func:`_each`, and every result the program writes comes from it.  Only
+  the calibration filter in ``harness`` passes NumPy's ufuncs instead, and
+  none of its values is written.
 * Every sum is an explicit left-to-right loop over the columns
   (:func:`_seq_sum`), never a NumPy reduction, which sums pairwise.  The
   ``0.0`` padding leaves such sums unchanged.
@@ -25,6 +29,7 @@ Bit-identity with the scalar kernels rests on five rules:
   per pool point and stream, into a memo (:func:`pool_memo`), and read back
   by index.  A libm call gives the same double for the same argument, and
   the products keep the scalar order ``((p0 * tx) * fading) * loss``.
+  Without a memo they are computed for every occupied cell of the block.
 
 The per-element libm calls dominate the cost, so they are made only where
 the scalar kernels use their results: the power terms of pool points not
@@ -80,34 +85,42 @@ def pool_memo(n_points, nc):
     return np.zeros((n_points, _LOSS + nc))
 
 
-def _fill(memo, new, owner, pool_xy, bs_xy, dmin, nc, apl, s):
-    """Compute the memo rows of pool points ``new``, drawn by their cells
-    ``owner``: what ``kernels._sinr_trial`` raises to a power for a user
-    there (its own cell's loss and, for a background cell, its signal term
-    are never used and stay ``0.0``)."""
-    px, py = pool_xy[new, 0], pool_xy[new, 1]
+def _terms(points, owner, pool_xy, bs_xy, dmin, nc, apl, s, each):
+    """Memo rows of pool points ``points``, drawn by their cells ``owner``:
+    what ``kernels._sinr_trial`` raises to a power for a user there (its own
+    cell's loss and, for a background cell, its signal term are never used
+    and stay ``0.0``), with the filled flag set."""
+    rows = np.zeros((points.size, _LOSS + nc))
+    px, py = pool_xy[points, 0], pool_xy[points, 1]
     d_serv = _distance(px - bs_xy[owner, 0], py - bs_xy[owner, 1], dmin)
-    memo[new, _TX] = _each(pow, d_serv, s * apl)
+    rows[:, _TX] = each(pow, d_serv, s * apl)
     own = owner < nc
-    memo[new[own], _SIG] = _each(pow, d_serv[own], (s - 1.0) * apl)
+    rows[own, _SIG] = each(pow, d_serv[own], (s - 1.0) * apl)
     cross = _distance(
         px[:, None] - bs_xy[:nc, 0], py[:, None] - bs_xy[:nc, 1], dmin
     )
     other = owner[:, None] != np.arange(nc)
-    loss = np.zeros(cross.shape)
-    loss[other] = _each(pow, cross[other], -apl)
-    memo[new, _LOSS:] = loss
-    memo[new, _FLAG] = 1.0
+    loss = rows[:, _LOSS:]
+    loss[other] = each(pow, cross[other], -apl)
+    rows[:, _FLAG] = 1.0
+    return rows
+
+
+def _fill(memo, new, owner, pool_xy, bs_xy, dmin, nc, apl, s, each):
+    """Fill the memo rows of pool points ``new``, drawn by their cells
+    ``owner`` (see :func:`_terms`)."""
+    memo[new] = _terms(new, owner, pool_xy, bs_xy, dmin, nc, apl, s, each)
 
 
 def _channel(
     u_occ, u_pos, u_fade, p_occ, pool_xy, pool_off, bs_xy, dmin, nc,
-    p0, noise, apl, s, memo,
+    p0, noise, apl, s, memo, each=_each,
 ):
     """Occupancy (rows x n_inst) and SINR (rows x nc) of a block of trials,
     as ``kernels._draw_arrays`` and ``kernels._sinr_trial`` compute them.
     The SINR of an unoccupied cell is left unspecified.  Fills ``memo`` for
-    the occupied pool points it draws first."""
+    the occupied pool points it draws first; with ``memo=None`` it computes
+    the position terms of every occupied cell of the block."""
     rows, n_inst = u_occ.shape
     occ = u_occ < p_occ
     occ_k = occ[:, :nc]
@@ -116,17 +129,23 @@ def _channel(
     j = (u_pos * npts).astype(np.int64)
     np.minimum(j, npts - 1, out=j)
     g = pool_off[:n_inst] + j
-    need = occ & (memo[g, _FLAG] == 0.0)
-    if need.any():
-        new, first = np.unique(g[need], return_index=True)
-        owner = np.nonzero(need)[1][first]
-        _fill(memo, new, owner, pool_xy, bs_xy, dmin, nc, apl, s)
-    terms = memo[g]
+    if memo is None:
+        terms = np.zeros(g.shape + (_LOSS + nc,))
+        terms[occ] = _terms(
+            g[occ], np.nonzero(occ)[1], pool_xy, bs_xy, dmin, nc, apl, s, each
+        )
+    else:
+        need = occ & (memo[g, _FLAG] == 0.0)
+        if need.any():
+            new, first = np.unique(g[need], return_index=True)
+            owner = np.nonzero(need)[1][first]
+            _fill(memo, new, owner, pool_xy, bs_xy, dmin, nc, apl, s, each)
+        terms = memo[g]
 
     # fading gains where user i and cell k are both occupied
     pair = occ[:, :, None] & occ_k[:, None, :]
     fading = np.zeros((rows, n_inst, nc))
-    f = -_each(math.log1p, -u_fade.reshape(rows, n_inst, nc)[pair])
+    f = -each(math.log1p, -u_fade.reshape(rows, n_inst, nc)[pair])
     fading[pair] = np.where(f > 0.0, f, 1e-300)
 
     # interference from occupied user i at occupied cell k != i
@@ -144,7 +163,7 @@ def _channel(
     return occ, num / den
 
 
-def _costs(idx, cap, rates, c0, ilz):
+def _costs(idx, cap, rates, c0, ilz, each):
     """``kernels._complexity_value`` at ladder entries ``idx`` (any shape),
     ``0.0`` where ``idx < 0``, and the ``log2(cap - rate)`` it takes there,
     which :func:`_levels` reuses."""
@@ -152,7 +171,7 @@ def _costs(idx, cap, rates, c0, ilz):
     lg = np.zeros(idx.shape)
     sel = idx >= 0
     rate = rates[idx[sel]]
-    lg[sel] = _each(math.log2, cap[sel] - rate)
+    lg[sel] = each(math.log2, cap[sel] - rate)
     raw = rate * ilz * (c0 - 2.0 * lg[sel])
     comp[sel] = np.where((rate > 0.0) & (raw > 0.0), raw, 0.0)
     return comp, lg
@@ -173,16 +192,16 @@ def _levels(idx, cap, comp, lg, rates, c0, ilz):
     return wl
 
 
-def _step_down(idx, comp, rows, best, cap, rates, c0, ilz):
+def _step_down(idx, comp, rows, best, cap, rates, c0, ilz, each):
     """Move user ``best`` of each row in ``rows`` one ladder entry down;
     returns the new entries and their ``log2(cap - rate)``."""
     i = idx[rows, best] - 1
     idx[rows, best] = i
-    comp[rows, best], lg = _costs(i, cap[rows, best], rates, c0, ilz)
+    comp[rows, best], lg = _costs(i, cap[rows, best], rates, c0, ilz, each)
     return i, lg
 
 
-def _swf(mf, cap, init_c, wl0, rates, c0, ilz, budget):
+def _swf(mf, cap, init_c, wl0, rates, c0, ilz, budget, each):
     """``kernels._swf_trial`` (without its pre-pass) over a block."""
     idx, comp, wl = mf.copy(), init_c.copy(), wl0.copy()
     rows = np.flatnonzero(_seq_sum(comp) > budget)
@@ -190,7 +209,9 @@ def _swf(mf, cap, init_c, wl0, rates, c0, ilz, budget):
         best = np.argmax(wl[rows], axis=1)
         has = wl[rows, best] > -np.inf
         rows, best = rows[has], best[has]
-        i, lg = _step_down(idx, comp, rows, best, cap, rates, c0, ilz)
+        i, lg = _step_down(
+            idx, comp, rows, best, cap, rates, c0, ilz, each
+        )
         wl[rows, best] = _levels(
             i, cap[rows, best], comp[rows, best], lg, rates, c0, ilz
         )
@@ -211,7 +232,7 @@ def _swf(mf, cap, init_c, wl0, rates, c0, ilz, budget):
     return idx, comp
 
 
-def _scc(mf, cap, init_c, rates, c0, ilz, budget):
+def _scc(mf, cap, init_c, rates, c0, ilz, budget, each):
     """``kernels._scc_trial`` over a block."""
     idx, comp = mf.copy(), init_c.copy()
     rows = np.flatnonzero(_seq_sum(comp) > budget)
@@ -219,18 +240,20 @@ def _scc(mf, cap, init_c, rates, c0, ilz, budget):
         best = np.argmax(comp[rows], axis=1)
         has = comp[rows, best] > 0.0
         rows, best = rows[has], best[has]
-        _step_down(idx, comp, rows, best, cap, rates, c0, ilz)
+        _step_down(idx, comp, rows, best, cap, rates, c0, ilz, each)
         rows = rows[_seq_sum(comp[rows]) > budget]
     return idx, comp
 
 
-def _schedule(act, sinr, thresholds, rates, c0, ilz, budget, kinds, out):
+def _schedule(
+    act, sinr, thresholds, rates, c0, ilz, budget, kinds, out, each
+):
     """Run scheduler ``kinds[j]`` on every trial of a block and write
     ``out[t, j] = (sum_rate, sum_complexity)``."""
     mf = np.where(act, np.searchsorted(thresholds, sinr, "right") - 1, -1)
     cap = np.zeros(act.shape)
-    cap[act] = _each(math.log2, 1.0 + sinr[act])
-    init_c, lg = _costs(mf, cap, rates, c0, ilz)
+    cap[act] = each(math.log2, 1.0 + sinr[act])
+    init_c, lg = _costs(mf, cap, rates, c0, ilz, each)
     wl0 = None
     for j, kind in enumerate(kinds):
         if kind == MRS:
@@ -238,9 +261,11 @@ def _schedule(act, sinr, thresholds, rates, c0, ilz, budget, kinds, out):
         elif kind == SWF:
             if wl0 is None:
                 wl0 = _levels(mf, cap, init_c, lg, rates, c0, ilz)
-            idx, comp = _swf(mf, cap, init_c, wl0, rates, c0, ilz, budget)
+            idx, comp = _swf(
+                mf, cap, init_c, wl0, rates, c0, ilz, budget, each
+            )
         elif kind == SCC:
-            idx, comp = _scc(mf, cap, init_c, rates, c0, ilz, budget)
+            idx, comp = _scc(mf, cap, init_c, rates, c0, ilz, budget, each)
         else:
             raise ValueError("unknown scheduler kernel id")
         out[:, j, 0] = _seq_sum(np.where(idx >= 0, rates[idx], 0.0))
@@ -254,13 +279,21 @@ def run_chunk(
     p0, noise, apl, s, memo,
     budget, kinds,
     out_n_active, out,
+    each=_each,
 ):
     """``kernels._run_chunk`` on a block of trials at once; ``memo`` is the
-    stream's :func:`pool_memo`, which it fills as points are drawn."""
+    stream's :func:`pool_memo`, which it fills as points are drawn, or
+    ``None``.  ``each(fn, x, *args)`` evaluates ``fn`` over the array ``x``
+    (see :func:`_each`).  Returns the block's active-cell mask and SINR (rows
+    x nc, unspecified where a cell is inactive)."""
     occ, sinr = _channel(
         u_occ, u_pos, u_fade,
         p_occ, pool_xy, pool_off, bs_xy, dmin, nc, p0, noise, apl, s, memo,
+        each,
     )
     act = occ[:, :nc]
     out_n_active[:] = np.count_nonzero(act, axis=1)
-    _schedule(act, sinr, thresholds, rates, c0, ilz, budget, kinds, out)
+    _schedule(
+        act, sinr, thresholds, rates, c0, ilz, budget, kinds, out, each
+    )
+    return act, sinr

@@ -24,12 +24,21 @@ random numbers).
 Budget comparisons always use the kernels' left-to-right per-trial totals,
 never a re-accumulated sum, so the outage decision is reproducible bit for
 bit.
+
+The calibrated budget is one order statistic of exact costs, so it is found
+in two passes, as robust geometric predicates are (Shewchuk, 1997): a filter
+computes every calibration trial's cost with NumPy's ufuncs, which may
+differ from libm in the last bits, and only the trials that the filter's
+error band cannot place above or below the quantile are recomputed exactly.
+The budget is the all-exact one bit for bit; nothing the filter computes is
+written.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 import math
 import os
 import warnings
@@ -58,6 +67,8 @@ CHUNK_TRIALS = 4096
 # a chunk is drawn and computed in blocks of at most this many elements of
 # rows x instantiated cells x scheduled cells
 BLOCK_ELEMENTS = 2**16
+
+log = logging.getLogger(__name__)
 
 # sub-stream ids under the master seed
 EVAL_STREAM = 1
@@ -199,16 +210,12 @@ def empirical_cdf(samples) -> np.ndarray:
     return np.column_stack((values, fractions))
 
 
-def budget_from_samples(samples, epsilon: float) -> float:
-    """Smallest sample c with a fraction of samples > c of at most epsilon.
-
-    Sorting ascending and counting, this is the (1-eps)-quantile taken
-    inclusively at index ``n - 1 - floor(eps * n)``.  ``epsilon = 0`` simply
-    returns the sample maximum, which cannot guarantee zero exceedance on
-    new data; a warning says so.
-    """
-    xs = np.sort(np.asarray(samples, dtype=np.float64).ravel())
-    n = xs.size
+def _quantile_rank(n: int, epsilon: float) -> int:
+    """Rank ``k`` of the budget among ``n`` calibration samples, counted
+    down from the largest (``k = 0`` is the maximum): ``floor(eps * n)``,
+    with a ``1e-9`` slack for ``eps * n`` a rounding error below an integer.
+    ``epsilon = 0`` gives the sample maximum, which cannot guarantee zero
+    exceedance on new data; a warning says so."""
     if n == 0:
         raise ValueError("need at least one calibration sample")
     if not 0.0 <= epsilon < 1.0:
@@ -217,10 +224,92 @@ def budget_from_samples(samples, epsilon: float) -> float:
         warnings.warn(
             "epsilon = 0: returning the calibration maximum, which does "
             "not guarantee zero exceedance out of sample",
-            stacklevel=2,
+            stacklevel=3,
         )
-    k = int(epsilon * n + 1e-9)
-    return float(xs[n - 1 - k])
+    return min(int(epsilon * n + 1e-9), n - 1)
+
+
+def budget_from_samples(samples, epsilon: float) -> float:
+    """Smallest sample c with a fraction of samples > c of at most epsilon.
+
+    Sorting ascending and counting, this is the (1-eps)-quantile taken
+    inclusively at index ``n - 1 - k`` with ``k = floor(eps * n)`` (see
+    :func:`_quantile_rank`, which warns at ``epsilon = 0``).
+    """
+    xs = np.sort(np.asarray(samples, dtype=np.float64).ravel())
+    k = _quantile_rank(xs.size, epsilon)
+    return float(xs[xs.size - 1 - k])
+
+
+# ----------------------------------------------------------------------
+# calibration filter
+# ----------------------------------------------------------------------
+
+# relative half-width of the band around each filter value that must hold
+# the exact value (absolute below 1.0); the filter's measured error is
+# below 3e-15 relative
+FILTER_BAND = 1e-9
+
+# NumPy's ufuncs for the libm functions ``batch`` evaluates one element at a
+# time; only the calibration filter uses them, and it writes none of their
+# results
+_UFUNCS = {math.log1p: np.log1p, pow: np.power, math.log2: np.log2}
+
+
+def _band(x):
+    """Half-width of the band around the values ``x``."""
+    return FILTER_BAND * np.maximum(np.abs(x), 1.0)
+
+
+def _vectorised(fn, x, *args):
+    """``batch._each`` with NumPy's ufunc in place of libm's ``fn``."""
+    return _UFUNCS[fn](x, *args)
+
+
+def _order_statistic(cost, on_ladder, near, k: int, exact) -> tuple:
+    """``(value, recomputed, over)``: the exact cost of rank ``k`` counted
+    down from the largest, the number of trials recomputed by
+    ``exact(trials)`` and the number of exact costs above the value.
+
+    ``cost`` holds the filter's values.  A trial with no active user on the
+    ladder costs exactly ``0.0``.  A trial with an active user whose SINR is
+    near a threshold may sit on another rung in exact arithmetic, so its
+    cost is unknown until recomputed.  Any other trial's exact cost lies in
+    the band of its filter value; a recomputed one outside it raises.  The
+    unknown trials and those whose band overlaps the band of the rank-``k``
+    estimate are recomputed, and the estimate is taken again until it asks
+    for no further trial.  Then every trial not recomputed is certainly
+    above or below the band of the estimate, and the value is the exact
+    cost of rank ``k`` less the count above among the known ones.
+    """
+    n = cost.size
+    known = ~on_ladder & ~near
+    value = np.where(known, 0.0, cost)
+    width = np.where(known, 0.0, _band(cost))
+    recomputed = 0
+    while True:
+        v = np.partition(value, n - 1 - k)[n - 1 - k]
+        lo, hi = v - _band(v), v + _band(v)
+        overlap = (value - width <= hi) & (value + width >= lo)
+        t = np.flatnonzero(~known & (near | overlap))
+        if t.size == 0:
+            break
+        exact_t = exact(t)
+        miss = ~near[t] & (
+            (exact_t < value[t] - width[t]) | (exact_t > value[t] + width[t])
+        )
+        if miss.any():
+            i = int(np.argmax(miss))
+            raise RuntimeError(
+                f"calibration filter: trial {t[i]} costs {exact_t[i]!r}, "
+                f"outside the band of its filter value {value[t[i]]!r}"
+            )
+        value[t], width[t], known[t] = exact_t, 0.0, True
+        recomputed += t.size
+    above = np.count_nonzero(~known & (value - width > hi))
+    exact_desc = np.sort(value[known])[::-1]
+    c = float(exact_desc[k - above])
+    return c, recomputed, above + int(np.count_nonzero(exact_desc > c))
 
 
 # ----------------------------------------------------------------------
@@ -253,17 +342,19 @@ def _payload(
     stream: int,
     budget: float,
     kinds,
+    memo: bool = True,
 ) -> tuple:
     """``(seed, stream, n_inst, row_len, block_rows, kernel_args)``;
     ``kernel_args`` are the arguments of ``kernels.run_chunk`` between the
-    uniforms and the outputs, ending with the kernel ids to run.  They hold
-    the stream's zeroed pool-point memo, so a payload serves one stream."""
+    uniforms and the outputs, ending with the kernel ids to run.  With
+    ``memo`` they hold the stream's zeroed pool-point memo, so a payload
+    serves one stream; without, the memo argument is ``None``."""
     kernel_args = (
         cells.p_occ, cells.pool_xy, cells.pool_off, cells.bs_xy,
         MIN_DISTANCE_KM, cells.nc,
         table.thresholds, table.rates, *model.kernel_constants(),
         phy.p0, phy.noise_w, phy.pathloss_exponent, phy.s,
-        batch.pool_memo(cells.pool_xy.shape[0], cells.nc),
+        batch.pool_memo(cells.pool_xy.shape[0], cells.nc) if memo else None,
         budget, np.array(kinds, dtype=np.int64),
     )
     block_rows = max(1, BLOCK_ELEMENTS // (cells.n_inst * cells.nc))
@@ -296,23 +387,45 @@ def _compute_chunk(payload: tuple, chunk_idx: int, rows: int) -> tuple:
     return n_active, out
 
 
-def _chunk_task(spec: tuple[int, int, int]) -> tuple:
-    chunk_idx, start, rows = spec
-    return start, rows, _compute_chunk(_PAYLOAD, chunk_idx, rows)
+def _filter_chunk(payload: tuple, chunk_idx: int, rows: int) -> tuple:
+    """``(cost, on_ladder, near)`` for one chunk of the calibration filter:
+    each trial's max-rate sum cost computed with NumPy's ufuncs, whether an
+    active user is on the ladder, and whether an active user's SINR lies
+    within the band of a ladder threshold (see :func:`calibrate_budget`).
+    ``payload`` runs the max-rate kernel alone."""
+    n_inst, kernel_args = payload[2], payload[-1]
+    thresholds = kernel_args[6]
+    lo, hi = thresholds - _band(thresholds), thresholds + _band(thresholds)
+    n_active = np.zeros(rows, dtype=np.int64)
+    out = np.zeros((rows, 1, 2))
+    on_ladder = np.zeros(rows, dtype=np.bool_)
+    near = np.zeros(rows, dtype=np.bool_)
+    for a, b, u in _uniform_blocks(payload, chunk_idx, rows):
+        act, sinr = batch.run_chunk(
+            u[:, :n_inst], u[:, n_inst: 2 * n_inst], u[:, 2 * n_inst:],
+            *kernel_args, n_active[a:b], out[a:b], each=_vectorised,
+        )
+        sinr = np.where(act, sinr, -np.inf)
+        on_ladder[a:b] = (sinr >= thresholds[0]).any(axis=1)
+        i = np.searchsorted(lo, sinr, "right") - 1
+        near[a:b] = ((i >= 0) & (sinr <= hi[i])).any(axis=1)
+    return out[:, 0, 1], on_ladder, near
 
 
-def _run_chunks(payload: tuple, n_trials: int, workers: int) -> tuple:
-    """``(n_active, out)`` for one stream, identical for any worker count."""
-    n_active = np.empty(n_trials, dtype=np.int64)
-    out = np.empty((n_trials, len(payload[-1][-1]), 2))
+def _chunk_task(task: tuple) -> tuple:
+    compute, chunk_idx, rows = task
+    return compute(_PAYLOAD, chunk_idx, rows)
+
+
+def _run_chunks(
+    payload: tuple, n_trials: int, workers: int, compute=_compute_chunk
+) -> tuple:
+    """``compute``'s per-trial arrays for one stream (by default
+    ``(n_active, out)``), joined in trial order; identical for any worker
+    count."""
     specs = _chunk_specs(n_trials)
-
-    def place(start: int, rows: int, arrays: tuple) -> None:
-        n_active[start: start + rows], out[start: start + rows] = arrays
-
     if workers == 1:
-        for chunk_idx, start, rows in specs:
-            place(start, rows, _compute_chunk(payload, chunk_idx, rows))
+        parts = [compute(payload, idx, rows) for idx, _start, rows in specs]
     else:
         # only a pool pays for importing the pool machinery
         import multiprocessing
@@ -325,11 +438,39 @@ def _run_chunks(payload: tuple, n_trials: int, workers: int) -> tuple:
             with ProcessPoolExecutor(
                 max_workers=min(workers, len(specs)), mp_context=ctx
             ) as pool:
-                for start, rows, arrays in pool.map(_chunk_task, specs):
-                    place(start, rows, arrays)
+                parts = list(pool.map(
+                    _chunk_task,
+                    [(compute, idx, rows) for idx, _start, rows in specs],
+                ))
         finally:
             _PAYLOAD = None
-    return n_active, out
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def _exact_costs(payload: tuple, trials: np.ndarray) -> np.ndarray:
+    """Exact max-rate sum cost of the stream's trials ``trials`` (sorted
+    ascending), from their uniform rows.  ``batch.run_chunk`` with libm
+    writes the bits of every ``kernels.run_chunk`` backend."""
+    n_inst, block_rows, kernel_args = payload[2], payload[4], payload[-1]
+    picked = []
+    for chunk_idx, start, rows in _chunk_specs(int(trials[-1]) + 1):
+        want = trials[(trials >= start) & (trials < start + rows)] - start
+        if want.size == 0:
+            continue
+        for a, b, u in _uniform_blocks(payload, chunk_idx, rows):
+            if a > want[-1]:
+                break
+            picked.append(u[want[(want >= a) & (want < b)] - a])
+    u = np.concatenate(picked)
+    n_active = np.zeros(len(u), dtype=np.int64)
+    out = np.zeros((len(u), 1, 2))
+    for a in range(0, len(u), block_rows):
+        b = min(a + block_rows, len(u))
+        batch.run_chunk(
+            u[a:b, :n_inst], u[a:b, n_inst: 2 * n_inst],
+            u[a:b, 2 * n_inst:], *kernel_args, n_active[a:b], out[a:b],
+        )
+    return out[:, 0, 1]
 
 
 def campaign_cells(
@@ -367,6 +508,14 @@ def calibrate_budget(
     The calibration shares the master seed's geometry but draws trials from
     its own sub-stream, so evaluating with the returned budget on the
     evaluation stream is an out-of-sample test of the target outage.
+
+    The result is the one order statistic of the exact costs that
+    :func:`budget_from_samples` picks, found in two passes.  A filter pass
+    computes every trial's cost with NumPy's ufuncs in place of libm
+    (:func:`_filter_chunk`); an exact pass recomputes with libm only the
+    trials the filter cannot place above or below the quantile
+    (:func:`_order_statistic`).  Logs ``n``, ``k``, the budget, the number
+    of trials recomputed and the in-sample outage.
     """
     if config.epsilon is None:
         raise ValueError(
@@ -374,16 +523,27 @@ def calibrate_budget(
             "(got an explicit c_server instead)"
         )
     trials = config.calibration_trials or config.n_trials
+    k = _quantile_rank(trials, config.epsilon)
     if geometry is None:
         geometry = campaign_geometry(config)
     cells = campaign_cells(config, geometry)
     payload = _payload(
         cells, config.table, config.model, config.phy,
         config.seed, CALIBRATION_STREAM,
-        budget=math.inf, kinds=[kernels.MRS],
+        budget=math.inf, kinds=[kernels.MRS], memo=False,
     )
-    _n_active, out = _run_chunks(payload, trials, config.workers)
-    return budget_from_samples(out[:, 0, 1], config.epsilon)
+    cost, on_ladder, near = _run_chunks(
+        payload, trials, config.workers, _filter_chunk
+    )
+    c_server, refined, over = _order_statistic(
+        cost, on_ladder, near, k, lambda t: _exact_costs(payload, t)
+    )
+    log.info(
+        "calibration: n = %d, k = %d, c_server = %r, %d trials recomputed "
+        "exactly, in-sample outage %d (%.4f)",
+        trials, k, c_server, refined, over, over / trials,
+    )
+    return c_server
 
 
 def run_campaign(
@@ -569,15 +729,20 @@ def write_summary_csv(result: CampaignResult, path) -> None:
 
 
 def write_cdf_csvs(result: CampaignResult, out_dir) -> list[str]:
-    """One `value,fraction` table per scheduler-metric pair."""
+    """One `value,fraction` table per scheduler-metric pair.  Equal series
+    (``mrs`` and ``unconstrained`` share their costs) are tabulated once."""
     paths = []
+    texts: dict[bytes, str] = {}
     for name in result.schedulers:
         for metric in ("sum_rate", "sum_complexity"):
-            table = result.cdf(name, metric)
-            lines = ["value,fraction"]
-            lines.extend(f"{v!r},{f!r}" for v, f in table.tolist())
+            key = getattr(result.series[name], metric).tobytes()
+            if key not in texts:
+                table = result.cdf(name, metric)
+                lines = ["value,fraction"]
+                lines.extend(f"{v!r},{f!r}" for v, f in table.tolist())
+                texts[key] = "\n".join(lines) + "\n"
             path = os.path.join(out_dir, f"cdf_{name}_{metric}.csv")
-            _atomic_write(path, "\n".join(lines) + "\n")
+            _atomic_write(path, texts[key])
             paths.append(path)
     return paths
 

@@ -6,13 +6,15 @@ under CPython.  At import time the module compiles the whole family with
 to ``0`` (or numba is unavailable); ``NUMBA_ENABLED`` reports the choice.
 Three callers use the kernels:
 
-* the campaign calls :data:`run_chunk` once per block of uniform rows
-  (``harness`` splits each chunk into blocks).  With numba enabled that is
-  the compiled :func:`_run_chunk`; otherwise it is ``batch.run_chunk``, a
-  trial-batched NumPy implementation that writes the same bits many times
-  faster than the interpreted loop (its module docstring gives the rules
-  that keep it bit-identical).  ``BACKEND`` names the implementation in
-  use, ``"numba"`` or ``"numpy"``;
+* the evaluation campaign calls :data:`run_chunk` once per block of
+  uniform rows (``harness`` splits each chunk into blocks).  With numba
+  enabled that is the compiled :func:`_run_chunk`; otherwise it is
+  ``batch.run_chunk``, a trial-batched NumPy implementation that writes the
+  same bits many times faster than the interpreted loop (its module
+  docstring gives the rules that keep it bit-identical).  ``BACKEND`` names
+  the implementation in use, ``"numba"`` or ``"numpy"``.  The calibration
+  calls ``batch.run_chunk`` under either backend (see
+  ``harness.calibrate_budget``);
 * the library (``sched``, ``netsim.draw_from_row``) calls the per-trial
   kernels directly, compiled or interpreted;
 * the campaign benchmark's traced run replays trials through the public

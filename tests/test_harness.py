@@ -2,8 +2,10 @@
 
 import dataclasses
 import json
+import logging
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -33,7 +35,12 @@ from cran_sched import (
     write_summary_csv,
     write_sweep_csv,
 )
-from cran_sched import harness, kernels
+from cran_sched import cli, harness, kernels
+
+BENCH_CONFIGS = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "campaign_bench", "configs",
+)
 
 
 def small_config(**overrides) -> CampaignConfig:
@@ -69,6 +76,8 @@ def test_budget_from_samples_reference_points():
     assert budget_from_samples(range(1, 11), 0.25) == 8.0
     assert budget_from_samples([5.0, 5.0, 5.0], 0.1) == 5.0
     assert budget_from_samples([5.0, 5.0, 5.0], 0.7) == 5.0
+    # eps * n within the 1e-9 slack of n: every sample may be exceeded
+    assert budget_from_samples([3.0, 1.0, 2.0], 1.0 - 1e-12) == 1.0
 
 
 def test_budget_from_samples_is_smallest_admissible():
@@ -110,6 +119,186 @@ def test_calibrate_budget_needs_epsilon():
 def test_calibrate_budget_deterministic():
     cfg = small_config()
     assert calibrate_budget(cfg) == calibrate_budget(cfg)
+
+
+def all_exact_costs(cfg):
+    """Every calibration trial's max-rate sum cost from the exact campaign
+    kernel, ``kernels.run_chunk``, as the evaluation computes its costs."""
+    cells = harness.campaign_cells(cfg, harness.campaign_geometry(cfg))
+    payload = harness._payload(
+        cells, cfg.table, cfg.model, cfg.phy, cfg.seed,
+        harness.CALIBRATION_STREAM, math.inf, [kernels.MRS],
+    )
+    trials = cfg.calibration_trials or cfg.n_trials
+    _n_active, out = harness._run_chunks(payload, trials, 1)
+    return out[:, 0, 1]
+
+
+def all_exact_budget(cfg):
+    """The all-exact calibration: the quantile rule over every exact
+    cost."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return budget_from_samples(all_exact_costs(cfg), cfg.epsilon)
+
+
+def recorded_exact_passes(monkeypatch):
+    """Record the trials each exact pass of the calibration recomputes."""
+    passes = []
+    exact = harness._exact_costs
+
+    def recorded(payload, trials):
+        passes.append(trials.copy())
+        return exact(payload, trials)
+
+    monkeypatch.setattr(harness, "_exact_costs", recorded)
+    return passes
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("workload", ["reference", "interference"])
+def test_calibrate_budget_equals_the_all_exact_budget(workload, seed):
+    # two chunks of calibration trials, so that two workers share them
+    rc = cli.parse_config(os.path.join(BENCH_CONFIGS, f"{workload}.cfg"))
+    base = dataclasses.replace(
+        cli.build_campaign(dataclasses.replace(rc, seed=seed)),
+        calibration_trials=harness.CHUNK_TRIALS + 1000,
+    )
+    geometry = harness.campaign_geometry(base)
+    costs = all_exact_costs(base)
+    for eps in (0.1, 0.01, 0.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected = budget_from_samples(costs, eps)
+        for workers in (1, 2):
+            cfg = dataclasses.replace(base, epsilon=eps, workers=workers)
+            if eps == 0.0:
+                with pytest.warns(UserWarning, match="out of sample"):
+                    got = calibrate_budget(cfg, geometry)
+            else:
+                got = calibrate_budget(cfg, geometry)
+            assert got == expected, (eps, workers)
+
+
+def test_trial_with_a_sinr_on_a_threshold_is_recomputed(monkeypatch):
+    # move a ladder threshold exactly onto an active user's exact SINR: the
+    # filter may put that user on the rung below, so the trial must be
+    # recomputed, and the budget must still be the all-exact one
+    cfg = small_config()
+    cells = harness.campaign_cells(cfg, harness.campaign_geometry(cfg))
+    rows = np.random.default_rng(
+        np.random.SeedSequence([cfg.seed, harness.CALIBRATION_STREAM, 0])
+    ).random((50, cells.row_len))
+    thresholds = cfg.table.thresholds.copy()
+    for t, row in enumerate(rows):
+        draw = draw_from_row(cells, row, None)
+        sinr = uplink_sinr_all(draw, cfg.phy)
+        on = [
+            k for k in range(cells.nc)
+            if draw.occupied[k] and sinr[k] >= thresholds[0]
+        ]
+        if on:
+            break
+    p = int(np.searchsorted(thresholds, sinr[on[0]], "right")) - 1
+    thresholds[p] = sinr[on[0]]
+    assert (np.diff(thresholds) > 0).all()
+    cfg = dataclasses.replace(
+        cfg, table=dataclasses.replace(cfg.table, thresholds=thresholds)
+    )
+    passes = recorded_exact_passes(monkeypatch)
+    assert calibrate_budget(cfg) == all_exact_budget(cfg)
+    assert t in np.concatenate(passes)
+
+
+def test_calibration_ties_at_zero(monkeypatch, caplog):
+    # at a density this low most trials have no active user on the ladder,
+    # so the quantile is a tie at 0.0; those trials are known without a
+    # recomputation
+    cfg = small_config(phy=PhyParams(lambda_density=0.001))
+    costs = all_exact_costs(cfg)
+    assert np.count_nonzero(costs == 0.0) > 0.9 * costs.size
+    passes = recorded_exact_passes(monkeypatch)
+    with caplog.at_level(logging.INFO, logger="cran_sched"):
+        assert calibrate_budget(cfg) == all_exact_budget(cfg) == 0.0
+    recomputed = np.concatenate(passes)
+    assert 0 < recomputed.size <= 20
+    over = np.count_nonzero(costs > 0.0)
+    assert (
+        f"{recomputed.size} trials recomputed exactly, "
+        f"in-sample outage {over} " in caplog.text
+    )
+
+
+def test_calibrate_budget_logs_its_diagnostics(caplog):
+    cfg = small_config()
+    costs = all_exact_costs(cfg)
+    with caplog.at_level(logging.INFO, logger="cran_sched"):
+        c = calibrate_budget(cfg)
+    over = int(np.count_nonzero(costs > c))
+    assert over <= 100
+    assert (
+        f"calibration: n = 1000, k = 100, c_server = {c!r}, "
+        in caplog.text
+    )
+    assert f"in-sample outage {over} ({over / 1000:.4f})" in caplog.text
+
+
+def test_order_statistic_equals_the_sorted_exact_costs():
+    # synthetic filter values: off-ladder zeros, values within their band,
+    # and trials near a threshold whose exact cost lies far from the filter
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        n = int(rng.integers(1, 300))
+        exact = np.round(rng.exponential(20.0, n), int(rng.integers(0, 3)))
+        on_ladder = rng.random(n) < 0.8
+        exact[~on_ladder] = 0.0
+        near = on_ladder & (rng.random(n) < 0.05)
+        cost = exact * (1.0 + rng.uniform(-1e-12, 1e-12, n))
+        cost[near] = rng.exponential(20.0, np.count_nonzero(near))
+        k = int(rng.integers(0, n))
+        calls = []
+
+        def recompute(t):
+            calls.append(t)
+            return exact[t]
+
+        c, recomputed, over = harness._order_statistic(
+            cost, on_ladder, near, k, recompute
+        )
+        assert c == np.sort(exact)[n - 1 - k]
+        assert over == np.count_nonzero(exact > c)
+        done = np.concatenate(calls) if calls else np.array([], int)
+        assert recomputed == done.size == np.unique(done).size
+        assert set(np.flatnonzero(near)) <= set(done.tolist())
+
+
+def test_filter_error_beyond_its_band_raises(monkeypatch):
+    vectorised = harness._vectorised
+
+    def off_by_1e6(fn, x, *args):
+        return vectorised(fn, x, *args) * (1.0 + 1e-6)
+
+    monkeypatch.setattr(harness, "_vectorised", off_by_1e6)
+    with pytest.raises(RuntimeError, match="outside the band"):
+        calibrate_budget(small_config())
+
+
+def test_pinned_budget_runs_no_filter(monkeypatch):
+    calls = []
+    vectorised = harness._vectorised
+
+    def counted(fn, x, *args):
+        calls.append(fn)
+        return vectorised(fn, x, *args)
+
+    monkeypatch.setattr(harness, "_vectorised", counted)
+    cfg = small_config(n_trials=1000)
+    calibrate_budget(cfg)
+    assert calls, "the calibration filter runs through _vectorised"
+    calls.clear()
+    run_campaign(dataclasses.replace(cfg, epsilon=None, c_server=50.0))
+    run_campaign(cfg, c_server=50.0)
+    assert calls == []
 
 
 # ------------------------------------------------------------ empirical cdf
@@ -444,6 +633,23 @@ def test_cdf_csvs(campaign, tmp_path):
     assert len(lines) == 1 + len(table)
     last = lines[-1].split(",")
     assert float(last[0]) == table[-1, 0] and float(last[1]) == 1.0
+
+
+def test_each_cdf_csv_holds_its_own_table(campaign, tmp_path):
+    # equal series are formatted once, and each file still holds the table
+    # of its own series
+    cfg, res = campaign
+    write_cdf_csvs(res, tmp_path)
+    for name in res.schedulers:
+        for metric in ("sum_rate", "sum_complexity"):
+            text = (tmp_path / f"cdf_{name}_{metric}.csv").read_text()
+            rows = "".join(
+                f"{v!r},{f!r}\n" for v, f in res.cdf(name, metric).tolist()
+            )
+            assert text == "value,fraction\n" + rows, (name, metric)
+    assert (tmp_path / "cdf_mrs_sum_complexity.csv").read_bytes() == (
+        tmp_path / "cdf_unconstrained_sum_complexity.csv"
+    ).read_bytes()
 
 
 def test_sweep_csv(campaign, tmp_path):

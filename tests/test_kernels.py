@@ -9,7 +9,8 @@ produce the bits of the scalar kernels run interpreted
   the benchmark workloads and on edge cases, run a block at a time with one
   pool-point memo per stream as the campaign runs it;
 * the campaign's per-block uniform draws are the one-shot draw of a chunk,
-  and a pool point's power terms are computed at most once per stream;
+  and a pool point's power terms are computed at most once per stream, or
+  for every draw when there is no memo (the calibration's exact pass);
 * a full campaign under numba must match one with ``CRAN_SCHED_NUMBA=0``.
   Each runs in its own subprocess because the selection happens at import
   time.  That comparison needs numba; where it does not import, the test is
@@ -420,6 +421,20 @@ def test_pool_point_terms_are_computed_once_per_stream(monkeypatch):
             (n_active[a: a + rows], out[a: a + rows]),
             scalar_chunk(payload, chunk, rows),
         )
+
+
+def test_batched_path_without_a_memo_equals_scalar():
+    # the calibration's exact pass computes each block's position terms
+    # directly, with no pool-point memo
+    config, cells = small_cells(background=True)
+    u = uniforms(7, harness.CALIBRATION_STREAM, 0, 300, cells.row_len)
+    for budget, kinds in ((math.inf, [kernels.MRS]), (3.0, ALL_KINDS)):
+        args = harness._payload(
+            cells, config.table, config.model, config.phy, config.seed,
+            harness.CALIBRATION_STREAM, budget, kinds, memo=False,
+        )[-1]
+        assert args[14] is None
+        assert_paths_equal(u, cells, args)
 
 
 def test_batched_source_keeps_to_the_bit_identity_rules():
