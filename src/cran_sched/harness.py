@@ -68,6 +68,10 @@ CHUNK_TRIALS = 4096
 # rows x instantiated cells x scheduled cells
 BLOCK_ELEMENTS = 2**16
 
+# per_trial.csv is formatted and written this many trials at a time, which
+# bounds the text held in memory
+WRITE_TRIALS = 256
+
 log = logging.getLogger(__name__)
 
 # sub-stream ids under the master seed
@@ -202,12 +206,17 @@ class CampaignResult:
 
 def empirical_cdf(samples) -> np.ndarray:
     """Right-continuous CDF table: (value, fraction <= value) rows."""
+    values, at_most = _cdf_counts(samples)
+    return np.column_stack((values, at_most / at_most[-1]))
+
+
+def _cdf_counts(samples) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values and the count of samples at most each."""
     xs = np.asarray(samples, dtype=np.float64).ravel()
     if xs.size == 0:
         raise ValueError("empirical_cdf requires at least one sample")
     values, counts = np.unique(xs, return_counts=True)
-    fractions = np.cumsum(counts) / xs.size
-    return np.column_stack((values, fractions))
+    return values, np.cumsum(counts)
 
 
 def _quantile_rank(n: int, epsilon: float) -> int:
@@ -689,31 +698,63 @@ def sweep_lambda(
 # ----------------------------------------------------------------------
 
 
-def _atomic_write(path, text: str) -> None:
+def _atomic_write(path, parts) -> None:
+    """Write the strings of ``parts`` to ``path.tmp``, then rename it over
+    ``path``, so a reader sees the old file or the whole new one."""
     path = os.fspath(path)
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.writelines(parts)
     os.replace(tmp, path)
+
+
+def _float_text(values: np.ndarray) -> np.ndarray:
+    """``repr`` of every float, as a flat object array of strings.
+
+    Each distinct value is formatted once.  Values are keyed by their bits,
+    so ``-0.0`` and ``0.0`` keep their own text.
+    """
+    bits, inverse = np.unique(
+        np.ascontiguousarray(values, np.float64).view(np.uint64).ravel(),
+        return_inverse=True,
+    )
+    text = np.array(list(map(repr, bits.view(np.float64).tolist())), object)
+    return text[inverse]
 
 
 def write_per_trial_csv(result: CampaignResult, path) -> None:
     """`trial,scheduler,sum_rate,sum_complexity,outage,n_active` rows."""
-    # Python floats and ints from tolist() format faster than NumPy scalars
-    n_active = result.n_active.tolist()
-    columns = []
-    for name in result.schedulers:
-        s = result.series[name]
-        columns.append([
-            f"{t},{name},{r!r},{c!r},{o:d},{na}"
-            for t, r, c, o, na in zip(
-                range(result.n_trials), s.sum_rate.tolist(),
-                s.sum_complexity.tolist(), s.outage.tolist(), n_active,
-            )
-        ])
-    lines = ["trial,scheduler,sum_rate,sum_complexity,outage,n_active"]
-    lines.extend(chain.from_iterable(zip(*columns)))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, _per_trial_blocks(result))
+
+
+def _per_trial_blocks(result: CampaignResult):
+    """The text of ``per_trial.csv``, WRITE_TRIALS trials at a time."""
+    yield "trial,scheduler,sum_rate,sum_complexity,outage,n_active\n"
+    series = [result.series[name] for name in result.schedulers]
+    for start in range(0, result.n_trials, WRITE_TRIALS):
+        block = slice(start, start + WRITE_TRIALS)
+        text = _float_text(np.stack([
+            column[block]
+            for s in series for column in (s.sum_rate, s.sum_complexity)
+        ])).reshape(2 * len(series), -1)
+        heads = [f"{t}," for t in range(start, start + text.shape[1])]
+        n_active = result.n_active[block].tolist()
+        # each trial's outage flag and n_active, for either flag
+        tails = [
+            np.array([f",{flag},{na}\n" for na in n_active], object)
+            for flag in (0, 1)
+        ]
+        columns = [
+            [
+                f"{head}{name},{r},{c}{tail}"
+                for head, r, c, tail in zip(
+                    heads, text[2 * j].tolist(), text[2 * j + 1].tolist(),
+                    np.where(s.outage[block], tails[1], tails[0]).tolist(),
+                )
+            ]
+            for j, (name, s) in enumerate(zip(result.schedulers, series))
+        ]
+        yield "".join(chain.from_iterable(zip(*columns)))
 
 
 def write_summary_csv(result: CampaignResult, path) -> None:
@@ -725,25 +766,36 @@ def write_summary_csv(result: CampaignResult, path) -> None:
             f"{name},{s.mean_sum_rate!r},{s.outage_rate!r},"
             f"{result.c_server!r}"
         )
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, ["\n".join(lines) + "\n"])
 
 
 def write_cdf_csvs(result: CampaignResult, out_dir) -> list[str]:
-    """One `value,fraction` table per scheduler-metric pair.  Equal series
-    (``mrs`` and ``unconstrained`` share their costs) are tabulated once."""
+    """One `value,fraction` table per scheduler-metric pair.
+
+    Equal series (``mrs`` and ``unconstrained`` share their costs) are
+    tabulated once.  Every fraction is ``k / n_trials``, so each ``k`` is
+    formatted once for all the tables.  A table's values are distinct, and
+    one table is formatted at a time: a string table shared by all of them
+    would hold every distinct value of every series at once.
+    """
     paths = []
-    texts: dict[bytes, str] = {}
+    same: dict[bytes, list[str]] = {}
     for name in result.schedulers:
         for metric in ("sum_rate", "sum_complexity"):
             key = getattr(result.series[name], metric).tobytes()
-            if key not in texts:
-                table = result.cdf(name, metric)
-                lines = ["value,fraction"]
-                lines.extend(f"{v!r},{f!r}" for v, f in table.tolist())
-                texts[key] = "\n".join(lines) + "\n"
-            path = os.path.join(out_dir, f"cdf_{name}_{metric}.csv")
-            _atomic_write(path, texts[key])
-            paths.append(path)
+            paths.append(os.path.join(out_dir, f"cdf_{name}_{metric}.csv"))
+            same.setdefault(key, []).append(paths[-1])
+    n = result.n_trials
+    fractions = np.array([repr(k / n) for k in range(n + 1)], object)
+    for key, group in same.items():
+        # the keys are the series' bytes
+        values, at_most = _cdf_counts(np.frombuffer(key))
+        text = "".join([
+            f"{v!r},{f}\n"
+            for v, f in zip(values.tolist(), fractions[at_most].tolist())
+        ])
+        for path in group:
+            _atomic_write(path, ("value,fraction\n", text))
     return paths
 
 
@@ -757,7 +809,7 @@ def write_sweep_csv(points: list[SweepPoint], value_name: str, path) -> None:
                 f"{pt.value!r},{name},{s.mean_sum_rate!r},"
                 f"{s.outage_rate!r},{pt.result.c_server!r}"
             )
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, ["\n".join(lines) + "\n"])
 
 
 def write_manifest(
@@ -779,4 +831,4 @@ def write_manifest(
     }
     if c_server is not None:
         doc["c_server"] = c_server
-    _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, [json.dumps(doc, indent=2, sort_keys=True) + "\n"])

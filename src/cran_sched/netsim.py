@@ -37,9 +37,9 @@ from . import kernels
 # distances below 10 m are clamped to keep the path-loss model sane
 MIN_DISTANCE_KM = 0.01
 
-# sample points per nearest-BS pass in estimate_cell_areas; keeps the
-# (points x BSs) distance temporaries in cache
-_OWNER_CHUNK = 512
+# sample points per pass of _nearest_bs; keeps its (points x candidates)
+# temporaries in cache
+_OWNER_CHUNK = 4096
 
 
 class LayoutError(ValueError):
@@ -370,6 +370,81 @@ def save_layout(layout: NetworkLayout, path) -> None:
     os.replace(tmp, path)
 
 
+def _nearest_bs(pts: np.ndarray, bs: np.ndarray) -> np.ndarray:
+    """Index of each point's nearest BS, ties to the lowest index.
+
+    Equal, bit for bit, to the argmin over every BS of the rounded
+    ``dx*dx + dy*dy`` (``dx = px - bx``), but each point is compared only
+    with the candidates of its bucket in a G x G grid, G = ceil(sqrt(n_bs)),
+    over the points' bounding box.  A BS is a candidate of a bucket when
+    its smallest squared distance to the closed bucket rectangle is at most
+    the least, over all BSs, of the largest squared distance to it.
+
+    The test needs no margin.  Both bounds are computed from the rectangle's
+    edges with the operations of a point's distance (subtract, square,
+    add), and round-to-nearest is monotone, so for every point p in the
+    rectangle the rounded values obey ``lower(b) <= d2(p, b)`` and
+    ``d2(p, c) <= upper(c)``.  The BS that the full pass picks for p has
+    the least rounded ``d2(p, .)``, so its lower bound is at most every
+    upper bound: it is a candidate, even when the two are equal.  Each
+    point lies in its bucket's rectangle exactly, because buckets are found
+    by ``searchsorted`` on the same edges.  Candidates are listed in
+    ascending index order, padded with a BS at infinite distance, so argmin
+    breaks ties as the full pass does.
+    """
+    g = math.isqrt(bs.shape[0] - 1) + 1
+    # column by column: a reduction over axis 0 of an (n, 2) array is slow
+    lo = np.array([col.min() for col in pts.T])
+    hi = np.array([col.max() for col in pts.T])
+    # (axis, g + 1) edges; the product comes first so integer extents give
+    # integer edges, and the clip keeps a rounded inner edge inside the box
+    edges = lo[:, None] + (hi - lo)[:, None] * np.arange(g + 1) / g
+    edges[:, -1] = hi
+    edges = np.clip(edges, lo[:, None], hi[:, None])
+    below = edges[:, :-1, None] - bs.T[:, None, :]      # (axis, g, n_bs)
+    above = edges[:, 1:, None] - bs.T[:, None, :]
+    near = np.maximum(np.maximum(below, -above), 0.0)
+    far = np.maximum(np.abs(below), np.abs(above))
+    near *= near
+    far *= far
+    # bucket id = iy * g + ix; one row of buckets at a time keeps the
+    # (buckets x BSs) bounds at g * n_bs elements
+    bucket, ids = [], []
+    for iy in range(g):
+        upper = far[1, iy] + far[0]
+        b, i = np.nonzero(
+            near[1, iy] + near[0] <= upper.min(axis=1, keepdims=True)
+        )
+        bucket.append(b + iy * g)
+        ids.append(i)
+    bucket = np.concatenate(bucket)
+    ids = np.concatenate(ids)
+    count = np.bincount(bucket, minlength=g * g)
+    width = int(count.max())
+    # nonzero lists each bucket's candidates in ascending id order
+    slot = np.arange(bucket.size) - np.repeat(np.cumsum(count) - count, count)
+    cand_x = np.full((g * g, width), np.inf)
+    cand_y = np.full((g * g, width), np.inf)
+    cand_x[bucket, slot] = bs[ids, 0]
+    cand_y[bucket, slot] = bs[ids, 1]
+    cand = np.zeros((g * g, width), np.min_scalar_type(bs.shape[0] - 1))
+    cand[bucket, slot] = ids
+
+    owner = np.empty(pts.shape[0], cand.dtype)
+    for start in range(0, pts.shape[0], _OWNER_CHUNK):
+        p = pts[start: start + _OWNER_CHUNK]
+        cell = np.searchsorted(edges[1, 1:-1], p[:, 1], side="right") * g
+        cell += np.searchsorted(edges[0, 1:-1], p[:, 0], side="right")
+        d2 = p[:, 0, None] - cand_x.take(cell, axis=0)
+        d2 *= d2
+        dy = p[:, 1, None] - cand_y.take(cell, axis=0)
+        d2 += dy * dy
+        cell *= width
+        cell += np.argmin(d2, axis=1)
+        owner[start: start + p.shape[0]] = cand.take(cell)
+    return owner
+
+
 def estimate_cell_areas(
     layout: NetworkLayout, n_samples: int, seed
 ) -> CellGeometry:
@@ -386,17 +461,11 @@ def estimate_cell_areas(
     pts = np.empty_like(u)
     pts[:, 0] = layout.arena.xmin + u[:, 0] * layout.arena.width
     pts[:, 1] = layout.arena.ymin + u[:, 1] * layout.arena.height
-    bs = layout.bs_positions
-    owner = np.empty(n_samples, np.int64)
-    for start in range(0, n_samples, _OWNER_CHUNK):
-        p = pts[start: start + _OWNER_CHUNK]
-        d2 = p[:, 0, None] - bs[:, 0]
-        d2 *= d2
-        dy = p[:, 1, None] - bs[:, 1]
-        d2 += dy * dy
-        owner[start: start + p.shape[0]] = np.argmin(d2, axis=1)
+    owner = _nearest_bs(pts, layout.bs_positions)
     counts = np.bincount(owner, minlength=layout.n_bs)
     areas = layout.arena.area * counts / float(n_samples)
+    # owner is at most 16 bits wide for any layout under 65,536 BSs, where
+    # NumPy's stable sort is a radix sort
     order = np.argsort(owner, kind="stable")
     pool_off = np.zeros(layout.n_bs + 1, dtype=np.int64)
     np.cumsum(counts, out=pool_off[1:])

@@ -442,6 +442,37 @@ def test_sweep_lambda_command(tmp_path):
     assert (out / "lambda_1.0" / "summary.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "command, extra",
+    [("run", ""), ("sweep-lambda", "lambda_values = 0.5,1.0\n")],
+    ids=["run", "sweep-lambda"],
+)
+def test_manifest_is_the_last_file_written(command, extra, tmp_path, monkeypatch):
+    # a manifest marks a complete output directory
+    cfg = write_cfg(tmp_path, SMALL + extra)
+    out = tmp_path / "out"
+    opened, replaced = [], []
+    real_open, real_replace = open, os.replace
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if any(c in mode for c in "wax+") and str(file).startswith(str(out)):
+            opened.append(os.path.relpath(file, out))
+        return real_open(file, mode, *args, **kwargs)
+
+    def recording_replace(src, dst, *args, **kwargs):
+        replaced.append(os.path.relpath(dst, out))
+        return real_replace(src, dst, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", recording_open)
+    monkeypatch.setattr(os, "replace", recording_replace)
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    monkeypatch.undo()
+    assert len(replaced) > 2
+    assert opened == [name + ".tmp" for name in replaced]
+    assert replaced[-1] == "manifest.json"
+    assert replaced.count("manifest.json") == 1
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [

@@ -36,6 +36,7 @@ from cran_sched import (
     write_sweep_csv,
 )
 from cran_sched import cli, harness, kernels
+from cran_sched.harness import SCHEDULERS
 
 BENCH_CONFIGS = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -604,6 +605,75 @@ def test_per_trial_csv_round_trip(campaign, tmp_path):
             k += 1
     assert k > 0
     assert not os.path.exists(str(path) + ".tmp")
+
+
+def reference_files(res) -> dict[str, str]:
+    """per_trial.csv and the CDF files, formatted one float at a time with
+    the f-strings the writers used before their string tables."""
+    lines = ["trial,scheduler,sum_rate,sum_complexity,outage,n_active"]
+    for t in range(res.n_trials):
+        for name in res.schedulers:
+            s = res.series[name]
+            lines.append(
+                f"{t},{name},{float(s.sum_rate[t])!r},"
+                f"{float(s.sum_complexity[t])!r},{int(s.outage[t]):d},"
+                f"{int(res.n_active[t])}"
+            )
+    files = {"per_trial.csv": "\n".join(lines) + "\n"}
+    for name in res.schedulers:
+        for metric in ("sum_rate", "sum_complexity"):
+            rows = ["value,fraction"]
+            rows.extend(f"{v!r},{f!r}" for v, f in res.cdf(name, metric).tolist())
+            files[f"cdf_{name}_{metric}.csv"] = "\n".join(rows) + "\n"
+    return files
+
+
+def synthetic_result(n_trials: int, seed: int) -> harness.CampaignResult:
+    """A result with -0.0 beside 0.0 in one column and values repeated
+    across schedulers, as on trials the budget leaves untouched."""
+    rng = np.random.default_rng(seed)
+    rate = rng.random(n_trials) * 40.0
+    cost = np.round(rng.random(n_trials) * 90.0, 3)
+    rate[::3] = 0.0
+    rate[1::3] = -0.0
+    cost[0] = -0.0
+    cost[1:2] = 0.0
+    cut = rng.random(n_trials) < 0.3
+    series = {}
+    for name in SCHEDULERS:
+        outage = (rng.random(n_trials) < 0.1) & (name == "mrs")
+        rates = np.where(cut, rng.random(n_trials), rate)
+        costs = cost if name in ("mrs", "unconstrained") else np.where(
+            cut, cost * 0.5, cost
+        )
+        series[name] = harness.SchedulerSeries(
+            sum_rate=np.where(outage, 0.0, rates), sum_complexity=costs,
+            outage=outage,
+        )
+    return harness.CampaignResult(
+        schedulers=tuple(SCHEDULERS), n_trials=n_trials, seed=seed,
+        epsilon=0.1, c_server=50.0,
+        n_active=rng.integers(0, 11, n_trials), series=series,
+    )
+
+
+@pytest.mark.parametrize(
+    "n_trials", [1, 7, harness.WRITE_TRIALS + 1, None],
+    ids=["one-trial", "seven-trials", "one-past-a-block", "campaign"],
+)
+def test_result_files_equal_the_one_float_at_a_time_text(
+    n_trials, campaign, tmp_path
+):
+    res = campaign[1] if n_trials is None else synthetic_result(n_trials, 5)
+    expected = reference_files(res)
+    if n_trials is not None:
+        # the -0.0 beside 0.0 must keep its own text
+        assert "-0.0" in expected["per_trial.csv"]
+    write_per_trial_csv(res, tmp_path / "per_trial.csv")
+    write_cdf_csvs(res, tmp_path)
+    assert sorted(os.listdir(tmp_path)) == sorted(expected)
+    for name, text in expected.items():
+        assert (tmp_path / name).read_bytes() == text.encode(), name
 
 
 def test_summary_csv_round_trip(campaign, tmp_path):

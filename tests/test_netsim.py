@@ -28,6 +28,7 @@ from cran_sched import (
     uplink_sinr,
     uplink_sinr_all,
 )
+from cran_sched import netsim
 
 SINR_D1 = 100.0                  # p0=10, W=0.1, d=1 km, no interferers
 SINR_D2 = 9.9442060469364834     # same link at d=2 km: 100 * 2**(0.37 - 3.7)
@@ -247,6 +248,109 @@ def test_estimate_cell_areas_pools_partition_samples():
             pts[:, 1, None] - lay.bs_positions[None, :, 1],
         )
         np.testing.assert_array_equal(np.argmin(d, axis=1), k)
+
+
+def brute_force_cell_areas(layout, n_samples, seed):
+    """estimate_cell_areas with every sample compared against every BS,
+    512 samples at a time: the pass the bucketed one replaced."""
+    rng = np.random.default_rng(seed)
+    u = rng.random((n_samples, 2))
+    pts = np.empty_like(u)
+    pts[:, 0] = layout.arena.xmin + u[:, 0] * layout.arena.width
+    pts[:, 1] = layout.arena.ymin + u[:, 1] * layout.arena.height
+    owner = brute_force_nearest(pts, layout.bs_positions)
+    counts = np.bincount(owner, minlength=layout.n_bs)
+    order = np.argsort(owner, kind="stable")
+    pool_off = np.zeros(layout.n_bs + 1, dtype=np.int64)
+    np.cumsum(counts, out=pool_off[1:])
+    return (
+        layout.arena.area * counts / float(n_samples), pts[order], pool_off
+    )
+
+
+def brute_force_nearest(pts, bs):
+    owner = np.empty(pts.shape[0], np.int64)
+    for start in range(0, pts.shape[0], 512):
+        p = pts[start: start + 512]
+        d2 = p[:, 0, None] - bs[:, 0]
+        d2 *= d2
+        dy = p[:, 1, None] - bs[:, 1]
+        d2 += dy * dy
+        owner[start: start + p.shape[0]] = np.argmin(d2, axis=1)
+    return owner
+
+
+def padded_layout(tmp_path):
+    # collinear BSs and no arena header: the arena is padded by 0.5 km in y
+    path = tmp_path / "line.txt"
+    path.write_text(
+        "centralized: 1\n"
+        + "".join(f"{k},{1.5 * k!r},2.0\n" for k in range(5))
+    )
+    lay = load_layout(path)
+    assert (lay.arena.ymin, lay.arena.ymax) == (1.5, 2.5)
+    return lay
+
+
+@pytest.mark.parametrize(
+    "make, n_samples",
+    [
+        # the benchmark layout: 129 BSs in a 30 km square, layout seed 1
+        (lambda _: generate_layout(
+            "uniform-random", 129, Arena(0.0, 0.0, 30.0, 30.0), 10, seed=1
+        ), 100_000),
+        (lambda _: generate_layout(
+            "hex-grid", 129, Arena(0.0, 0.0, 30.0, 30.0), 10, seed=1
+        ), 100_000),
+        (lambda _: generate_layout(
+            "uniform-random", 1, Arena(0.0, 0.0, 5.0, 3.0), 1, seed=2
+        ), 20_000),
+        (lambda _: generate_layout(
+            "hex-grid", 2, Arena(-1.0, 2.0, 5.0, 3.0), 1, seed=2
+        ), 20_000),
+        (lambda _: generate_layout(
+            "uniform-random", 7, Arena(0.0, 0.0, 10.0, 10.0), 3, seed=5
+        ), 20_000),
+        (padded_layout, 20_000),
+    ],
+    ids=["bench-129", "hex-129", "n1", "n2-hex", "n7", "loaded-padded"],
+)
+def test_estimate_cell_areas_equals_the_full_pass(make, n_samples, tmp_path):
+    lay = make(tmp_path)
+    for seed in (0, np.random.SeedSequence([401, 3])):
+        geo = estimate_cell_areas(lay, n_samples, seed)
+        areas, pool_xy, pool_off = brute_force_cell_areas(lay, n_samples, seed)
+        for got, want in (
+            (geo.areas, areas), (geo.pool_xy, pool_xy),
+            (geo.pool_off, pool_off),
+        ):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "bs",
+    [
+        # bucket [0, 1]^2: BS 0's nearest squared distance to it (2) equals
+        # BS 1's farthest, and the corner (0, 0) is 2 from both
+        [(-1.0, -1.0), (1.0, 1.0)],
+        # every sample on x = 1 or y = 1 is equidistant from two or four BSs
+        [(0.5, 0.5), (1.5, 0.5), (0.5, 1.5), (1.5, 1.5)],
+        [(1.5, 1.5), (0.5, 1.5), (1.5, 0.5), (0.5, 0.5)],
+        [(1.0, 0.0), (0.0, 1.0), (2.0, 1.0), (1.0, 2.0)],
+    ],
+)
+def test_nearest_bs_on_bucket_edges_and_ties(bs):
+    # the samples span [0, 2]^2, so the 2 x 2 buckets have their edges at
+    # 0, 1 and 2, and a quarter-km lattice puts samples on every edge
+    grid = np.arange(9) * 0.25
+    pts = np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2)
+    bs = np.array(bs)
+    owner = netsim._nearest_bs(pts, bs)
+    np.testing.assert_array_equal(owner, brute_force_nearest(pts, bs))
+    if bs[0, 0] == -1.0:
+        # the tie at (0, 0) goes to the lower id
+        assert owner[0] == 0
 
 
 def test_estimate_cell_areas_requires_enough_samples():
