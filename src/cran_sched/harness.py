@@ -36,6 +36,7 @@ written.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import logging
@@ -68,8 +69,8 @@ CHUNK_TRIALS = 4096
 # rows x instantiated cells x scheduled cells
 BLOCK_ELEMENTS = 2**16
 
-# per_trial.csv is formatted and written this many trials at a time, which
-# bounds the text held in memory
+# per_trial.csv is formatted and written this many trials at a time, and a
+# CDF table this many rows at a time, which bounds the text held in memory
 WRITE_TRIALS = 256
 
 log = logging.getLogger(__name__)
@@ -698,14 +699,21 @@ def sweep_lambda(
 # ----------------------------------------------------------------------
 
 
-def _atomic_write(path, parts) -> None:
-    """Write the strings of ``parts`` to ``path.tmp``, then rename it over
-    ``path``, so a reader sees the old file or the whole new one."""
-    path = os.fspath(path)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(parts)
-    os.replace(tmp, path)
+def _atomic_write(paths, parts) -> None:
+    """Write the strings of ``parts`` to ``path.tmp`` for each of ``paths``,
+    then rename each over its path, so a reader sees the old file or the
+    whole new one."""
+    tmps = [os.fspath(path) + ".tmp" for path in paths]
+    with contextlib.ExitStack() as stack:
+        files = [
+            stack.enter_context(open(tmp, "w", encoding="utf-8", newline=""))
+            for tmp in tmps
+        ]
+        for part in parts:
+            for fh in files:
+                fh.write(part)
+    for tmp, path in zip(tmps, paths):
+        os.replace(tmp, path)
 
 
 def _float_text(values: np.ndarray) -> np.ndarray:
@@ -724,7 +732,7 @@ def _float_text(values: np.ndarray) -> np.ndarray:
 
 def write_per_trial_csv(result: CampaignResult, path) -> None:
     """`trial,scheduler,sum_rate,sum_complexity,outage,n_active` rows."""
-    _atomic_write(path, _per_trial_blocks(result))
+    _atomic_write([path], _per_trial_blocks(result))
 
 
 def _per_trial_blocks(result: CampaignResult):
@@ -766,37 +774,47 @@ def write_summary_csv(result: CampaignResult, path) -> None:
             f"{name},{s.mean_sum_rate!r},{s.outage_rate!r},"
             f"{result.c_server!r}"
         )
-    _atomic_write(path, ["\n".join(lines) + "\n"])
+    _atomic_write([path], ["\n".join(lines) + "\n"])
 
 
 def write_cdf_csvs(result: CampaignResult, out_dir) -> list[str]:
     """One `value,fraction` table per scheduler-metric pair.
 
     Equal series (``mrs`` and ``unconstrained`` share their costs) are
-    tabulated once.  Every fraction is ``k / n_trials``, so each ``k`` is
-    formatted once for all the tables.  A table's values are distinct, and
-    one table is formatted at a time: a string table shared by all of them
-    would hold every distinct value of every series at once.
+    tabulated once, and their files are written from the same text.  A
+    table's values are distinct, and it is formatted and written
+    WRITE_TRIALS rows at a time, so only one block's text is held at once.
     """
     paths = []
-    same: dict[bytes, list[str]] = {}
+    # each distinct series, by its bits, and the paths of its table
+    tables: list[tuple[np.ndarray, list[str]]] = []
     for name in result.schedulers:
         for metric in ("sum_rate", "sum_complexity"):
-            key = getattr(result.series[name], metric).tobytes()
+            bits = getattr(result.series[name], metric).view(np.uint64)
             paths.append(os.path.join(out_dir, f"cdf_{name}_{metric}.csv"))
-            same.setdefault(key, []).append(paths[-1])
-    n = result.n_trials
-    fractions = np.array([repr(k / n) for k in range(n + 1)], object)
-    for key, group in same.items():
-        # the keys are the series' bytes
-        values, at_most = _cdf_counts(np.frombuffer(key))
-        text = "".join([
-            f"{v!r},{f}\n"
-            for v, f in zip(values.tolist(), fractions[at_most].tolist())
-        ])
-        for path in group:
-            _atomic_write(path, ("value,fraction\n", text))
+            for seen, group in tables:
+                if np.array_equal(seen, bits):
+                    break
+            else:
+                group = []
+                tables.append((bits, group))
+            group.append(paths[-1])
+    for bits, group in tables:
+        values, at_most = _cdf_counts(bits.view(np.float64))
+        _atomic_write(group, _cdf_blocks(values, at_most, result.n_trials))
     return paths
+
+
+def _cdf_blocks(values, at_most, n: int):
+    """The text of a CDF table, WRITE_TRIALS rows at a time: each distinct
+    value and the fraction ``k / n`` of the samples at most it."""
+    yield "value,fraction\n"
+    for start in range(0, values.size, WRITE_TRIALS):
+        block = slice(start, start + WRITE_TRIALS)
+        yield "".join([
+            f"{v!r},{k / n!r}\n"
+            for v, k in zip(values[block].tolist(), at_most[block].tolist())
+        ])
 
 
 def write_sweep_csv(points: list[SweepPoint], value_name: str, path) -> None:
@@ -809,7 +827,7 @@ def write_sweep_csv(points: list[SweepPoint], value_name: str, path) -> None:
                 f"{pt.value!r},{name},{s.mean_sum_rate!r},"
                 f"{s.outage_rate!r},{pt.result.c_server!r}"
             )
-    _atomic_write(path, ["\n".join(lines) + "\n"])
+    _atomic_write([path], ["\n".join(lines) + "\n"])
 
 
 def write_manifest(
@@ -831,4 +849,6 @@ def write_manifest(
     }
     if c_server is not None:
         doc["c_server"] = c_server
-    _atomic_write(path, [json.dumps(doc, indent=2, sort_keys=True) + "\n"])
+    _atomic_write(
+        [path], [json.dumps(doc, indent=2, sort_keys=True) + "\n"]
+    )

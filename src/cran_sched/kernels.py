@@ -42,8 +42,9 @@ _LN2 = math.log(2.0)
 
 
 def numba_requested() -> bool:
-    """Whether ``CRAN_SCHED_NUMBA`` asks for the compiled kernels."""
-    return os.environ.get("CRAN_SCHED_NUMBA", "1") != "0"
+    """Whether ``CRAN_SCHED_NUMBA`` explicitly asks for the compiled kernels
+    (set, and not to ``0``).  Unset, they are used when numba imports."""
+    return os.environ.get("CRAN_SCHED_NUMBA", "0") != "0"
 
 
 def _seq_sum(values, n):
@@ -385,7 +386,7 @@ def _run_chunk(
 # on the batched NumPy run_chunk.
 
 NUMBA_ENABLED = False
-if numba_requested():
+if os.environ.get("CRAN_SCHED_NUMBA") != "0":
     try:
         from numba import njit
     except ImportError:  # numba absent: fall back to the interpreted kernels

@@ -282,8 +282,12 @@ def test_main_warns_when_numba_is_requested_but_absent(
     cfg = write_cfg(tmp_path, SMALL)
     monkeypatch.setattr(kernels, "NUMBA_ENABLED", False)
     monkeypatch.setattr(kernels, "BACKEND", "numpy")
-    for flag, warned in (("1", True), ("0", False)):
-        monkeypatch.setenv("CRAN_SCHED_NUMBA", flag)
+    # unset, numba is optional: its absence is no warning
+    for flag, warned in (("1", True), ("0", False), (None, False)):
+        if flag is None:
+            monkeypatch.delenv("CRAN_SCHED_NUMBA", raising=False)
+        else:
+            monkeypatch.setenv("CRAN_SCHED_NUMBA", flag)
         caplog.clear()
         out = tmp_path / f"lay{flag}"
         assert main(["layout-gen", "--config", cfg, "--out", str(out)]) == 0

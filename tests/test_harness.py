@@ -585,6 +585,39 @@ def test_sweep_lambda_explicit_budget_skips_calibration(campaign):
 # ------------------------------------------------------------ result files
 
 
+def test_failed_probe_leaves_the_campaign_files_unchanged(
+    campaign, tmp_path, monkeypatch
+):
+    # with every libm function on one CPython call per element, the
+    # campaign writes the same per_trial.csv as through NumPy's scalar loop
+    from cran_sched import batch
+
+    cfg, res = campaign
+    calls = []
+    libm = batch._libm
+
+    def counted(fn, x, args):
+        calls.append(fn)
+        return libm(fn, x, args)
+
+    monkeypatch.setattr(batch, "_libm", counted)
+    monkeypatch.setattr(batch, "_FAST", {})
+    fast = run_campaign(cfg)
+    assert {math.log1p, pow, math.log2} <= set(calls)
+    calls.clear()
+    monkeypatch.setattr(batch, "_FAST", {})
+    monkeypatch.setattr(batch, "_probe", lambda fn: False)
+    slow = run_campaign(cfg)
+    assert calls == []
+    for name, r in (("cached", res), ("fast", fast), ("slow", slow)):
+        write_per_trial_csv(r, tmp_path / f"{name}.csv")
+    want = (tmp_path / "cached.csv").read_bytes()
+    assert (tmp_path / "fast.csv").read_bytes() == want
+    assert (tmp_path / "slow.csv").read_bytes() == want
+
+
+
+
 def test_per_trial_csv_round_trip(campaign, tmp_path):
     cfg, res = campaign
     path = tmp_path / "per_trial.csv"

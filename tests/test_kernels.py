@@ -11,6 +11,9 @@ produce the bits of the scalar kernels run interpreted
 * the campaign's per-block uniform draws are the one-shot draw of a chunk,
   and a pool point's power terms are computed at most once per stream, or
   for every draw when there is no memo (the calibration's exact pass);
+* ``batch._libm``, which runs libm in NumPy's scalar loop, must give the
+  bits of one CPython call per element (``batch._map``) wherever its probe
+  passes, and fall back to it, errors included, outside its domain;
 * a full campaign under numba must match one with ``CRAN_SCHED_NUMBA=0``.
   Each runs in its own subprocess because the selection happens at import
   time.  That comparison needs numba; where it does not import, the test is
@@ -21,6 +24,7 @@ import dataclasses
 import inspect
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -109,6 +113,34 @@ def test_kernel_module_exposes_selection_flag():
         "schedule", "draw_arrays", "sinr_trial", "run_chunk",
     ):
         assert callable(getattr(kernels, name))
+
+
+@pytest.mark.parametrize(
+    "flag, tried", [(None, True), ("1", True), ("0", False)]
+)
+def test_numba_import_is_tried_unless_disabled(tmp_path, flag, tried):
+    # a stand-in numba that reports the import attempt and then fails it
+    (tmp_path / "numba.py").write_text(
+        "print('tried')\nraise ImportError('stand-in')\n"
+    )
+    src = os.path.dirname(os.path.dirname(inspect.getfile(kernels)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), src]))
+    env.pop("CRAN_SCHED_NUMBA", None)
+    if flag is not None:
+        env["CRAN_SCHED_NUMBA"] = flag
+    code = (
+        "from cran_sched import kernels; "
+        "print(kernels.NUMBA_ENABLED, kernels.numba_requested())"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    want = ["tried"] if tried else []
+    assert out.stdout.split("\n")[:-1] == [
+        *want, f"False {flag not in (None, '0')}"
+    ]
 
 
 # ---------------------------------------------- batched path == scalar path
@@ -438,11 +470,173 @@ def test_batched_path_without_a_memo_equals_scalar():
 
 
 def test_batched_source_keeps_to_the_bit_identity_rules():
-    # NumPy's log/exp/power loops may differ from libm in the last bit, and
-    # its sums are pairwise: the batched path uses neither
+    # NumPy's sums are pairwise and its log/exp/power loops may differ from
+    # libm in the last bit: the batched path sums left to right, and only
+    # batch._libm calls NumPy's log1p/power/log2, in the one stride pattern
+    # whose exactness the tests below check directly
     source = inspect.getsource(batch)
-    for banned in (
-        "np.log1p", "np.power", "np.log2", "np.log", "np.exp", "np.sum",
-        ".sum(",
-    ):
+    helper = inspect.getsource(batch._libm)
+    for banned in ("np.exp", "np.sum", ".sum("):
         assert banned not in source, banned
+    assert re.search(r"np\.log(?!1p\b|2\b)", source) is None, "np.log"
+    rest = source.replace(helper, "")
+    for banned in ("np.log1p", "np.power", "np.log2"):
+        assert banned in helper, banned
+        assert banned not in rest, banned
+
+
+# ------------------------------------------------ libm through NumPy's loop
+
+
+def bits(a):
+    return np.asarray(a, np.float64).view(np.uint64)
+
+
+# each libm function on its campaign domains (``pow`` at the benchmark
+# configs' exponents and at the three NumPy special-cases for a scalar
+# exponent), a million values each
+LIBM_DOMAINS = {
+    "log1p(-u)": (math.log1p, (), lambda r, n: -r.random(n)),
+    "log2(1+sinr)": (
+        math.log2, (), lambda r, n: 1.0 + 10.0 ** r.uniform(-3.0, 7.0, n)
+    ),
+    "log2(cap-rate)": (
+        math.log2, (), lambda r, n: 10.0 ** r.uniform(-8.0, 1.5, n)
+    ),
+    **{
+        f"pow(d, {e})": (
+            pow, (e,), lambda r, n: 10.0 ** r.uniform(-2.0, 1.7, n)
+        )
+        for e in (0.1 * 3.7, (0.1 - 1.0) * 3.7, -3.7, 0.5, -1.0, 2.0)
+    },
+}
+
+
+def fast_path_or_skip(fn):
+    """Skip where ``fn`` failed its probe: ``batch._each`` then never takes
+    the NumPy loop."""
+    if not batch._probe(fn):
+        pytest.skip(f"{fn.__name__}: NumPy's loop failed the probe here")
+
+
+@pytest.mark.parametrize("domain", LIBM_DOMAINS)
+def test_libm_loop_equals_one_call_per_element(domain):
+    fn, args, draw = LIBM_DOMAINS[domain]
+    x = draw(np.random.default_rng(11), 1_000_000)
+    want = bits(batch._map(fn, x, *args))
+    np.testing.assert_array_equal(bits(batch._each(fn, x, *args)), want)
+    fast_path_or_skip(fn)
+    got = batch._libm(fn, x, args)
+    assert got is not None
+    assert np.count_nonzero(bits(got) != want) == 0
+
+
+@pytest.mark.parametrize(
+    "domain", ["log1p(-u)", "log2(1+sinr)", "pow(d, -3.7)"]
+)
+def test_libm_loop_on_every_small_size_and_layout(domain):
+    fn, args, draw = LIBM_DOMAINS[domain]
+    fast_path_or_skip(fn)
+    rng = np.random.default_rng(12)
+    for n in range(1, 130):
+        for _ in range(20):
+            x = draw(rng, n)
+            got = batch._libm(fn, x, args)
+            assert got is not None and got.shape == (n,)
+            np.testing.assert_array_equal(
+                bits(got), bits(batch._map(fn, x, *args)), err_msg=str(n)
+            )
+    # a masked 3-D block, a strided view and an empty array
+    cube = draw(rng, 7 * 5 * 11).reshape(7, 5, 11)
+    for x in (cube[rng.random(cube.shape) < 0.6], cube[:, 2, ::3].ravel(),
+              cube[::2, 1, 3], cube[:0, 0, 0]):
+        np.testing.assert_array_equal(
+            bits(batch._libm(fn, x, args)), bits(batch._map(fn, x, *args))
+        )
+
+
+@pytest.mark.parametrize("fn, args, x", [
+    (math.log1p, (), [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                      -(1.0 - 2.0 ** -53), 1.0 - 2.0 ** -53, -1e-300, 1e300]),
+    (math.log2, (), [5e-324, 2.2250738585072014e-308, 1.0 - 2.0 ** -53,
+                     1.0, 1.0 + 2.0 ** -52, 1.7976931348623157e308]),
+    (pow, (0.37,), [5e-324, 2.2250738585072014e-308, 1.0 - 2.0 ** -53,
+                    1.0, 1e300]),
+    (pow, (-3.7,), [1.0 - 2.0 ** -53, 1.0, 1e80]),
+])
+def test_libm_loop_on_edge_values(fn, args, x):
+    x = np.array(x)
+    want = bits(batch._map(fn, x, *args))
+    np.testing.assert_array_equal(bits(batch._each(fn, x, *args)), want)
+    fast_path_or_skip(fn)
+    np.testing.assert_array_equal(bits(batch._libm(fn, x, args)), want)
+
+
+@pytest.mark.parametrize("fn, args, x, error", [
+    (math.log2, (), [1.0, 0.0], ValueError),
+    (math.log2, (), [2.0, -0.0], ValueError),
+    (math.log1p, (), [-0.5, -1.0], ValueError),
+    (math.log1p, (), [-2.0], ValueError),
+    (pow, (3.52,), [2.0, 1e300], OverflowError),
+    (pow, (-3.7,), [2.0, 0.0], ZeroDivisionError),
+])
+def test_libm_errors_are_raised_as_by_one_call_per_element(fn, args, x, error):
+    x = np.array(x)
+    assert batch._libm(fn, x, args) is None
+    with pytest.raises(error) as want:
+        batch._map(fn, x, *args)
+    with pytest.raises(error) as got:
+        batch._each(fn, x, *args)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("fn, args, x", [
+    (math.log1p, (), [0.5, math.nan, math.inf]),
+    (math.log2, (), [0.5, math.nan, math.inf]),
+    (pow, (0.37,), [-0.0, 0.0, 2.0, math.inf]),
+    (pow, (2.0,), [-3.0, 2.0]),
+])
+def test_libm_values_outside_the_domain_come_from_one_call_per_element(
+    fn, args, x
+):
+    x = np.array(x)
+    assert batch._libm(fn, x, args) is None
+    np.testing.assert_array_equal(
+        bits(batch._each(fn, x, *args)), bits(batch._map(fn, x, *args))
+    )
+
+
+@pytest.mark.parametrize("fn, every", [
+    # NumPy's contiguous loops differ from libm on about 7% (log1p), 5%
+    # (pow) and 0.09% (log2) of values on an AVX-512 machine
+    (math.log1p, 20), (pow, 20), (math.log2, 1111),
+])
+def test_probe_rejects_a_loop_that_differs_rarely(
+    monkeypatch, caplog, fn, every
+):
+    def off_by_one_bit(fn, x, args):
+        # the last bit flipped on about one value in ``every``
+        y = batch._map(fn, x, *args)
+        flip = (x.view(np.uint64) % np.uint64(every)) == 0
+        return (y.view(np.uint64) ^ flip.astype(np.uint64)).view(np.float64)
+
+    monkeypatch.setattr(batch, "_libm", off_by_one_bit)
+    caplog.set_level("INFO", logger="cran_sched.batch")
+    assert batch._probe(fn) is False
+    (record,) = caplog.records
+    assert record.getMessage().startswith(
+        f"{fn.__name__}: one CPython call per element; NumPy's scalar loop "
+        "differed from libm on "
+    )
+
+
+def test_each_probes_once_per_function_and_logs_the_path(monkeypatch, caplog):
+    monkeypatch.setattr(batch, "_FAST", {})
+    caplog.set_level("INFO", logger="cran_sched.batch")
+    x = np.array([-0.25, -0.5])
+    for _ in range(3):
+        batch._each(math.log1p, x)
+        batch._each(math.log2, -x)
+    names = [r.getMessage().split(":")[0] for r in caplog.records]
+    assert names == ["log1p", "log2"]
+    assert set(batch._FAST) == {math.log1p, math.log2}
