@@ -20,11 +20,7 @@ Bit-identity with the scalar kernels rests on five rules:
   88 ns for one CPython call per element (:func:`_map`).  A seeded probe
   checks that loop bit for bit against ``_map`` the first time a process
   uses each function, and ``_map`` serves a function whose probe fails and
-  any argument or result outside the domain where the two agree.  The
-  element-wise function is the ``each`` parameter of :func:`run_chunk`; its
-  default is :func:`_each`, and every result the program writes comes from
-  it.  Only the calibration filter in ``harness`` passes NumPy's contiguous
-  ufuncs instead, and none of its values is written.
+  any argument or result outside the domain where the two agree.
 * Every sum is an explicit left-to-right loop over the columns
   (:func:`_seq_sum`), never a NumPy reduction, which sums pairwise.  The
   ``0.0`` padding leaves such sums unchanged.
@@ -32,19 +28,22 @@ Bit-identity with the scalar kernels rests on five rules:
   the scalar binary search's answer.  Ties in the greedy choices go to the
   first user, as ``np.argmax`` and a stable sort pick them.
 * The power terms that depend only on a user's position are computed once
-  per pool point and stream, into a memo (:func:`pool_memo`), and read back
-  by index.  A libm call gives the same double for the same argument, and
-  the products keep the scalar order ``((p0 * tx) * fading) * loss``.
-  Without a memo they are computed for every occupied cell of the block.
+  per pool point and cell set, into a table (:func:`position_terms`), and
+  read back by index.  A libm call gives the same double for the same
+  argument, and the products keep the scalar order
+  ``((p0 * tx) * fading) * loss``.  A point's loss to its own cell is
+  ``0.0`` in the table and the fading gain of an unoccupied pair is ``0.0``,
+  so the pairs the scalar loop skips add ``0.0`` to its sums.
 
 The per-element libm calls dominate the cost, so they are made only where
-the scalar kernels use their results: the power terms of pool points not
-yet in the memo, the fading gains of occupied cells and the capacities of
-active users.  The greedy step-down loops only over the rows still over
-budget and recomputes only the user that stepped, reusing the
-``log2(cap - rate)`` of its cost for its water level; swf caches each
-user's water level, and its re-add pass visits the dropped users in a
-stable descending order of their initial level.
+the scalar kernels use their results: the fading gains of occupied cells
+and the capacities of active users.  Only the rows whose max-rate cost
+exceeds the budget run the greedy kernels; every other row keeps the
+max-rate allocation, which is what both return there.  The greedy step-down
+loops only over the rows still over budget and recomputes only the user
+that stepped, reusing the ``log2(cap - rate)`` of its cost for its water
+level; swf caches each user's water level, and its re-add pass visits the
+dropped users in a stable descending order of their initial level.
 """
 
 from __future__ import annotations
@@ -59,9 +58,13 @@ from .kernels import _LN2, MRS, SCC, SWF
 
 log = logging.getLogger(__name__)
 
-# memo columns: filled flag, d_serv**(s*apl), d_serv**((s-1)*apl), then
+# position-term columns: d_serv**(s*apl), d_serv**((s-1)*apl), then
 # cross**(-apl) to the BS of each scheduled cell
-_FLAG, _TX, _SIG, _LOSS = 0, 1, 2, 3
+_TX, _SIG, _LOSS = 0, 1, 2
+
+# a position-term table is built in blocks of about this many elements of
+# pool points x scheduled cells
+TERMS_ELEMENTS = 2**16
 
 # whether each libm function runs through _libm in this process, decided by
 # its probe on first use
@@ -170,49 +173,35 @@ def _distance(dx, dy, dmin):
     return np.maximum(np.sqrt(dx * dx + dy * dy), dmin)
 
 
-def pool_memo(n_points, nc):
-    """A zeroed memo of the position-only power terms of ``n_points`` pool
-    points, for one stream of trials: :func:`_channel` fills a point's row
-    the first time a trial draws it (see :func:`_fill`)."""
-    return np.zeros((n_points, _LOSS + nc))
+def position_terms(pool_xy, pool_off, bs_xy, dmin, nc, apl, s):
+    """One row per pool point of the power terms ``kernels._sinr_trial``
+    computes for a user there (see the column names above).  A point's loss
+    to its own cell and, in a background cell, its signal term are never
+    used and are ``0.0``."""
+    n_points = pool_xy.shape[0]
+    owners = np.repeat(np.arange(pool_off.size - 1), np.diff(pool_off))
+    terms = np.zeros((n_points, _LOSS + nc))
+    step = max(1, TERMS_ELEMENTS // nc)
+    for a in range(0, n_points, step):
+        owner, rows = owners[a: a + step], terms[a: a + step]
+        px, py = pool_xy[a: a + step, 0], pool_xy[a: a + step, 1]
+        d_serv = _distance(px - bs_xy[owner, 0], py - bs_xy[owner, 1], dmin)
+        rows[:, _TX] = _each(pow, d_serv, s * apl)
+        own = np.flatnonzero(owner < nc)
+        rows[own, _SIG] = _each(pow, d_serv[own], (s - 1.0) * apl)
+        cross = _distance(
+            px[:, None] - bs_xy[:nc, 0], py[:, None] - bs_xy[:nc, 1], dmin
+        )
+        rows[:, _LOSS:] = _each(pow, cross.ravel(), -apl).reshape(cross.shape)
+        rows[own, _LOSS + owner[own]] = 0.0
+    return terms
 
 
-def _terms(points, owner, pool_xy, bs_xy, dmin, nc, apl, s, each):
-    """Memo rows of pool points ``points``, drawn by their cells ``owner``:
-    what ``kernels._sinr_trial`` raises to a power for a user there (its own
-    cell's loss and, for a background cell, its signal term are never used
-    and stay ``0.0``), with the filled flag set."""
-    rows = np.zeros((points.size, _LOSS + nc))
-    px, py = pool_xy[points, 0], pool_xy[points, 1]
-    d_serv = _distance(px - bs_xy[owner, 0], py - bs_xy[owner, 1], dmin)
-    rows[:, _TX] = each(pow, d_serv, s * apl)
-    own = owner < nc
-    rows[own, _SIG] = each(pow, d_serv[own], (s - 1.0) * apl)
-    cross = _distance(
-        px[:, None] - bs_xy[:nc, 0], py[:, None] - bs_xy[:nc, 1], dmin
-    )
-    other = owner[:, None] != np.arange(nc)
-    loss = rows[:, _LOSS:]
-    loss[other] = each(pow, cross[other], -apl)
-    rows[:, _FLAG] = 1.0
-    return rows
-
-
-def _fill(memo, new, owner, pool_xy, bs_xy, dmin, nc, apl, s, each):
-    """Fill the memo rows of pool points ``new``, drawn by their cells
-    ``owner`` (see :func:`_terms`)."""
-    memo[new] = _terms(new, owner, pool_xy, bs_xy, dmin, nc, apl, s, each)
-
-
-def _channel(
-    u_occ, u_pos, u_fade, p_occ, pool_xy, pool_off, bs_xy, dmin, nc,
-    p0, noise, apl, s, memo, each=_each,
-):
+def _channel(u_occ, u_pos, u_fade, p_occ, pool_off, nc, p0, noise, terms):
     """Occupancy (rows x n_inst) and SINR (rows x nc) of a block of trials,
-    as ``kernels._draw_arrays`` and ``kernels._sinr_trial`` compute them.
-    The SINR of an unoccupied cell is left unspecified.  Fills ``memo`` for
-    the occupied pool points it draws first; with ``memo=None`` it computes
-    the position terms of every occupied cell of the block."""
+    as ``kernels._draw_arrays`` and ``kernels._sinr_trial`` compute them,
+    from the :func:`position_terms` table ``terms``.  The SINR of an
+    unoccupied cell is left unspecified."""
     rows, n_inst = u_occ.shape
     occ = u_occ < p_occ
     occ_k = occ[:, :nc]
@@ -220,42 +209,27 @@ def _channel(
     npts = pool_off[1: n_inst + 1] - pool_off[:n_inst]
     j = (u_pos * npts).astype(np.int64)
     np.minimum(j, npts - 1, out=j)
-    g = pool_off[:n_inst] + j
-    if memo is None:
-        terms = np.zeros(g.shape + (_LOSS + nc,))
-        terms[occ] = _terms(
-            g[occ], np.nonzero(occ)[1], pool_xy, bs_xy, dmin, nc, apl, s, each
-        )
-    else:
-        need = occ & (memo[g, _FLAG] == 0.0)
-        if need.any():
-            new, first = np.unique(g[need], return_index=True)
-            owner = np.nonzero(need)[1][first]
-            _fill(memo, new, owner, pool_xy, bs_xy, dmin, nc, apl, s, each)
-        terms = memo[g]
+    at = terms.take(pool_off[:n_inst] + j, axis=0)
 
-    # fading gains where user i and cell k are both occupied
+    # fading gains where user i and cell k are both occupied, else 0.0
     pair = occ[:, :, None] & occ_k[:, None, :]
     fading = np.zeros((rows, n_inst, nc))
-    f = -each(math.log1p, -u_fade.reshape(rows, n_inst, nc)[pair])
+    f = -_each(math.log1p, -u_fade.reshape(rows, n_inst, nc)[pair])
     fading[pair] = np.where(f > 0.0, f, 1e-300)
 
-    # interference from occupied user i at occupied cell k != i
-    pair &= ~np.eye(n_inst, nc, dtype=np.bool_)
-    loss = np.where(pair, terms[:, :, _LOSS:], 0.0)
-    tx = np.where(occ, terms[:, :, _TX], 0.0)
-    term = (p0 * tx)[:, :, None] * fading * loss
+    # interference from occupied user i at occupied cell k != i; the other
+    # pairs add 0.0 through a zero gain or the zero own-cell loss
+    term = (p0 * at[:, :, _TX])[:, :, None] * fading * at[:, :, _LOSS:]
     den = np.full((rows, nc), noise)
     for i in range(n_inst):
         den += term[:, i, :]
 
     diag = np.arange(nc)
-    sig = np.where(occ_k, terms[:, :nc, _SIG], 0.0)
-    num = p0 * fading[:, diag, diag] * sig
+    num = p0 * fading[:, diag, diag] * at[:, :nc, _SIG]
     return occ, num / den
 
 
-def _costs(idx, cap, rates, c0, ilz, each):
+def _costs(idx, cap, rates, c0, ilz):
     """``kernels._complexity_value`` at ladder entries ``idx`` (any shape),
     ``0.0`` where ``idx < 0``, and the ``log2(cap - rate)`` it takes there,
     which :func:`_levels` reuses."""
@@ -263,7 +237,7 @@ def _costs(idx, cap, rates, c0, ilz, each):
     lg = np.zeros(idx.shape)
     sel = idx >= 0
     rate = rates[idx[sel]]
-    lg[sel] = each(math.log2, cap[sel] - rate)
+    lg[sel] = _each(math.log2, cap[sel] - rate)
     raw = rate * ilz * (c0 - 2.0 * lg[sel])
     comp[sel] = np.where((rate > 0.0) & (raw > 0.0), raw, 0.0)
     return comp, lg
@@ -284,16 +258,16 @@ def _levels(idx, cap, comp, lg, rates, c0, ilz):
     return wl
 
 
-def _step_down(idx, comp, rows, best, cap, rates, c0, ilz, each):
+def _step_down(idx, comp, rows, best, cap, rates, c0, ilz):
     """Move user ``best`` of each row in ``rows`` one ladder entry down;
     returns the new entries and their ``log2(cap - rate)``."""
     i = idx[rows, best] - 1
     idx[rows, best] = i
-    comp[rows, best], lg = _costs(i, cap[rows, best], rates, c0, ilz, each)
+    comp[rows, best], lg = _costs(i, cap[rows, best], rates, c0, ilz)
     return i, lg
 
 
-def _swf(mf, cap, init_c, wl0, rates, c0, ilz, budget, each):
+def _swf(mf, cap, init_c, wl0, rates, c0, ilz, budget):
     """``kernels._swf_trial`` (without its pre-pass) over a block."""
     idx, comp, wl = mf.copy(), init_c.copy(), wl0.copy()
     rows = np.flatnonzero(_seq_sum(comp) > budget)
@@ -301,9 +275,7 @@ def _swf(mf, cap, init_c, wl0, rates, c0, ilz, budget, each):
         best = np.argmax(wl[rows], axis=1)
         has = wl[rows, best] > -np.inf
         rows, best = rows[has], best[has]
-        i, lg = _step_down(
-            idx, comp, rows, best, cap, rates, c0, ilz, each
-        )
+        i, lg = _step_down(idx, comp, rows, best, cap, rates, c0, ilz)
         wl[rows, best] = _levels(
             i, cap[rows, best], comp[rows, best], lg, rates, c0, ilz
         )
@@ -324,7 +296,7 @@ def _swf(mf, cap, init_c, wl0, rates, c0, ilz, budget, each):
     return idx, comp
 
 
-def _scc(mf, cap, init_c, rates, c0, ilz, budget, each):
+def _scc(mf, cap, init_c, rates, c0, ilz, budget):
     """``kernels._scc_trial`` over a block."""
     idx, comp = mf.copy(), init_c.copy()
     rows = np.flatnonzero(_seq_sum(comp) > budget)
@@ -332,60 +304,52 @@ def _scc(mf, cap, init_c, rates, c0, ilz, budget, each):
         best = np.argmax(comp[rows], axis=1)
         has = comp[rows, best] > 0.0
         rows, best = rows[has], best[has]
-        _step_down(idx, comp, rows, best, cap, rates, c0, ilz, each)
+        _step_down(idx, comp, rows, best, cap, rates, c0, ilz)
         rows = rows[_seq_sum(comp[rows]) > budget]
     return idx, comp
 
 
-def _schedule(
-    act, sinr, thresholds, rates, c0, ilz, budget, kinds, out, each
-):
+def _schedule(act, sinr, thresholds, rates, c0, ilz, budget, kinds, out):
     """Run scheduler ``kinds[j]`` on every trial of a block and write
     ``out[t, j] = (sum_rate, sum_complexity)``."""
     mf = np.where(act, np.searchsorted(thresholds, sinr, "right") - 1, -1)
     cap = np.zeros(act.shape)
-    cap[act] = each(math.log2, 1.0 + sinr[act])
-    init_c, lg = _costs(mf, cap, rates, c0, ilz, each)
-    wl0 = None
+    cap[act] = _each(math.log2, 1.0 + sinr[act])
+    init_c, lg = _costs(mf, cap, rates, c0, ilz)
+    out[:, :, 0] = _seq_sum(np.where(mf >= 0, rates[mf], 0.0))[:, None]
+    out[:, :, 1] = _seq_sum(init_c)[:, None]
+    # the greedy kernels step down only the rows over budget, and return
+    # max-rate's allocation on every other row
+    bound = np.flatnonzero(out[:, 0, 1] > budget)
+    mf, cap, init_c, lg = mf[bound], cap[bound], init_c[bound], lg[bound]
     for j, kind in enumerate(kinds):
         if kind == MRS:
-            idx, comp = mf, init_c
-        elif kind == SWF:
-            if wl0 is None:
-                wl0 = _levels(mf, cap, init_c, lg, rates, c0, ilz)
-            idx, comp = _swf(
-                mf, cap, init_c, wl0, rates, c0, ilz, budget, each
-            )
+            continue
+        if kind == SWF:
+            wl0 = _levels(mf, cap, init_c, lg, rates, c0, ilz)
+            idx, comp = _swf(mf, cap, init_c, wl0, rates, c0, ilz, budget)
         elif kind == SCC:
-            idx, comp = _scc(mf, cap, init_c, rates, c0, ilz, budget, each)
+            idx, comp = _scc(mf, cap, init_c, rates, c0, ilz, budget)
         else:
             raise ValueError("unknown scheduler kernel id")
-        out[:, j, 0] = _seq_sum(np.where(idx >= 0, rates[idx], 0.0))
-        out[:, j, 1] = _seq_sum(comp)
+        out[bound, j, 0] = _seq_sum(np.where(idx >= 0, rates[idx], 0.0))
+        out[bound, j, 1] = _seq_sum(comp)
 
 
 def run_chunk(
     u_occ, u_pos, u_fade,
     p_occ, pool_xy, pool_off, bs_xy, dmin, nc,
     thresholds, rates, c0, ilz,
-    p0, noise, apl, s, memo,
+    p0, noise, apl, s, terms,
     budget, kinds,
     out_n_active, out,
-    each=_each,
 ):
-    """``kernels._run_chunk`` on a block of trials at once; ``memo`` is the
-    stream's :func:`pool_memo`, which it fills as points are drawn, or
-    ``None``.  ``each(fn, x, *args)`` evaluates ``fn`` over the array ``x``
-    (see :func:`_each`).  Returns the block's active-cell mask and SINR (rows
-    x nc, unspecified where a cell is inactive)."""
+    """``kernels._run_chunk`` on a block of trials at once; ``terms`` is the
+    cell set's :func:`position_terms` table, which replaces the pool, the BS
+    positions and the power-law constants."""
     occ, sinr = _channel(
-        u_occ, u_pos, u_fade,
-        p_occ, pool_xy, pool_off, bs_xy, dmin, nc, p0, noise, apl, s, memo,
-        each,
+        u_occ, u_pos, u_fade, p_occ, pool_off, nc, p0, noise, terms
     )
     act = occ[:, :nc]
     out_n_active[:] = np.count_nonzero(act, axis=1)
-    _schedule(
-        act, sinr, thresholds, rates, c0, ilz, budget, kinds, out, each
-    )
-    return act, sinr
+    _schedule(act, sinr, thresholds, rates, c0, ilz, budget, kinds, out)

@@ -25,13 +25,11 @@ Budget comparisons always use the kernels' left-to-right per-trial totals,
 never a re-accumulated sum, so the outage decision is reproducible bit for
 bit.
 
-The calibrated budget is one order statistic of exact costs, so it is found
-in two passes, as robust geometric predicates are (Shewchuk, 1997): a filter
-computes every calibration trial's cost with NumPy's ufuncs, which may
-differ from libm in the last bits, and only the trials that the filter's
-error band cannot place above or below the quantile are recomputed exactly.
-The budget is the all-exact one bit for bit; nothing the filter computes is
-written.
+Both streams draw users from the same cell pools, so the power terms that
+depend only on a user's position are computed once per cell set
+(``batch.position_terms``) and shared: the module keeps the most recent
+table, keyed by value, so a calibration, the evaluation after it and every
+point of a density sweep use one table, and forked workers inherit it.
 """
 
 from __future__ import annotations
@@ -212,12 +210,25 @@ def empirical_cdf(samples) -> np.ndarray:
 
 
 def _cdf_counts(samples) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values and the count of samples at most each."""
-    xs = np.asarray(samples, dtype=np.float64).ravel()
+    """The distinct values and the count of samples at most each, as
+    ``np.unique`` and a cumulative sum of its counts give them, with fewer
+    temporaries."""
+    xs = np.sort(np.asarray(samples, dtype=np.float64).ravel())
     if xs.size == 0:
         raise ValueError("empirical_cdf requires at least one sample")
-    values, counts = np.unique(xs, return_counts=True)
-    return values, np.cumsum(counts)
+    # the first sample of each run of equal values; NaNs, sorted last, are
+    # one run
+    first = np.empty(xs.size, dtype=np.bool_)
+    first[0] = True
+    np.not_equal(xs[1:], xs[:-1], out=first[1:])
+    if np.isnan(xs[-1]):
+        first[np.searchsorted(xs, np.nan) + 1:] = False
+    at_most = np.flatnonzero(first)
+    values = xs[at_most]
+    # each run ends where the next one starts
+    at_most[:-1] = at_most[1:]
+    at_most[-1] = xs.size
+    return values, at_most
 
 
 def _quantile_rank(n: int, epsilon: float) -> int:
@@ -252,82 +263,14 @@ def budget_from_samples(samples, epsilon: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# calibration filter
-# ----------------------------------------------------------------------
-
-# relative half-width of the band around each filter value that must hold
-# the exact value (absolute below 1.0); the filter's measured error is
-# below 3e-15 relative
-FILTER_BAND = 1e-9
-
-# NumPy's ufuncs for the libm functions ``batch`` evaluates one element at a
-# time; only the calibration filter uses them, and it writes none of their
-# results
-_UFUNCS = {math.log1p: np.log1p, pow: np.power, math.log2: np.log2}
-
-
-def _band(x):
-    """Half-width of the band around the values ``x``."""
-    return FILTER_BAND * np.maximum(np.abs(x), 1.0)
-
-
-def _vectorised(fn, x, *args):
-    """``batch._each`` with NumPy's ufunc in place of libm's ``fn``."""
-    return _UFUNCS[fn](x, *args)
-
-
-def _order_statistic(cost, on_ladder, near, k: int, exact) -> tuple:
-    """``(value, recomputed, over)``: the exact cost of rank ``k`` counted
-    down from the largest, the number of trials recomputed by
-    ``exact(trials)`` and the number of exact costs above the value.
-
-    ``cost`` holds the filter's values.  A trial with no active user on the
-    ladder costs exactly ``0.0``.  A trial with an active user whose SINR is
-    near a threshold may sit on another rung in exact arithmetic, so its
-    cost is unknown until recomputed.  Any other trial's exact cost lies in
-    the band of its filter value; a recomputed one outside it raises.  The
-    unknown trials and those whose band overlaps the band of the rank-``k``
-    estimate are recomputed, and the estimate is taken again until it asks
-    for no further trial.  Then every trial not recomputed is certainly
-    above or below the band of the estimate, and the value is the exact
-    cost of rank ``k`` less the count above among the known ones.
-    """
-    n = cost.size
-    known = ~on_ladder & ~near
-    value = np.where(known, 0.0, cost)
-    width = np.where(known, 0.0, _band(cost))
-    recomputed = 0
-    while True:
-        v = np.partition(value, n - 1 - k)[n - 1 - k]
-        lo, hi = v - _band(v), v + _band(v)
-        overlap = (value - width <= hi) & (value + width >= lo)
-        t = np.flatnonzero(~known & (near | overlap))
-        if t.size == 0:
-            break
-        exact_t = exact(t)
-        miss = ~near[t] & (
-            (exact_t < value[t] - width[t]) | (exact_t > value[t] + width[t])
-        )
-        if miss.any():
-            i = int(np.argmax(miss))
-            raise RuntimeError(
-                f"calibration filter: trial {t[i]} costs {exact_t[i]!r}, "
-                f"outside the band of its filter value {value[t[i]]!r}"
-            )
-        value[t], width[t], known[t] = exact_t, 0.0, True
-        recomputed += t.size
-    above = np.count_nonzero(~known & (value - width > hi))
-    exact_desc = np.sort(value[known])[::-1]
-    c = float(exact_desc[k - above])
-    return c, recomputed, above + int(np.count_nonzero(exact_desc > c))
-
-
-# ----------------------------------------------------------------------
 # chunked trial execution
 # ----------------------------------------------------------------------
 
 # worker payload, inherited by fork()ed pool processes
 _PAYLOAD: tuple | None = None
+
+# (key, table): the position-term table of the most recent cell set
+_TERMS: tuple | None = None
 
 
 def _chunk_specs(n_trials: int) -> list[tuple[int, int, int]]:
@@ -352,23 +295,38 @@ def _payload(
     stream: int,
     budget: float,
     kinds,
-    memo: bool = True,
 ) -> tuple:
     """``(seed, stream, n_inst, row_len, block_rows, kernel_args)``;
     ``kernel_args`` are the arguments of ``kernels.run_chunk`` between the
-    uniforms and the outputs, ending with the kernel ids to run.  With
-    ``memo`` they hold the stream's zeroed pool-point memo, so a payload
-    serves one stream; without, the memo argument is ``None``."""
+    uniforms and the outputs, ending with the kernel ids to run."""
     kernel_args = (
         cells.p_occ, cells.pool_xy, cells.pool_off, cells.bs_xy,
         MIN_DISTANCE_KM, cells.nc,
         table.thresholds, table.rates, *model.kernel_constants(),
         phy.p0, phy.noise_w, phy.pathloss_exponent, phy.s,
-        batch.pool_memo(cells.pool_xy.shape[0], cells.nc) if memo else None,
+        _position_terms(cells, phy),
         budget, np.array(kinds, dtype=np.int64),
     )
     block_rows = max(1, BLOCK_ELEMENTS // (cells.n_inst * cells.nc))
     return seed, stream, cells.n_inst, cells.row_len, block_rows, kernel_args
+
+
+def _position_terms(cells: CellArrays, phy: PhyParams) -> np.ndarray:
+    """``batch.position_terms`` of ``cells``, built only when the cell set
+    differs from the last one asked for."""
+    global _TERMS
+    key = (
+        cells.cell_ids, cells.nc, cells.bs_xy, cells.pool_off, cells.pool_xy,
+        phy.pathloss_exponent, phy.s,
+    )
+    if _TERMS is None or not all(
+        np.array_equal(a, b) for a, b in zip(_TERMS[0], key)
+    ):
+        _TERMS = key, batch.position_terms(
+            cells.pool_xy, cells.pool_off, cells.bs_xy, MIN_DISTANCE_KM,
+            cells.nc, phy.pathloss_exponent, phy.s,
+        )
+    return _TERMS[1]
 
 
 def _uniform_blocks(payload: tuple, chunk_idx: int, rows: int):
@@ -397,45 +355,24 @@ def _compute_chunk(payload: tuple, chunk_idx: int, rows: int) -> tuple:
     return n_active, out
 
 
-def _filter_chunk(payload: tuple, chunk_idx: int, rows: int) -> tuple:
-    """``(cost, on_ladder, near)`` for one chunk of the calibration filter:
-    each trial's max-rate sum cost computed with NumPy's ufuncs, whether an
-    active user is on the ladder, and whether an active user's SINR lies
-    within the band of a ladder threshold (see :func:`calibrate_budget`).
-    ``payload`` runs the max-rate kernel alone."""
-    n_inst, kernel_args = payload[2], payload[-1]
-    thresholds = kernel_args[6]
-    lo, hi = thresholds - _band(thresholds), thresholds + _band(thresholds)
-    n_active = np.zeros(rows, dtype=np.int64)
-    out = np.zeros((rows, 1, 2))
-    on_ladder = np.zeros(rows, dtype=np.bool_)
-    near = np.zeros(rows, dtype=np.bool_)
-    for a, b, u in _uniform_blocks(payload, chunk_idx, rows):
-        act, sinr = batch.run_chunk(
-            u[:, :n_inst], u[:, n_inst: 2 * n_inst], u[:, 2 * n_inst:],
-            *kernel_args, n_active[a:b], out[a:b], each=_vectorised,
-        )
-        sinr = np.where(act, sinr, -np.inf)
-        on_ladder[a:b] = (sinr >= thresholds[0]).any(axis=1)
-        i = np.searchsorted(lo, sinr, "right") - 1
-        near[a:b] = ((i >= 0) & (sinr <= hi[i])).any(axis=1)
-    return out[:, 0, 1], on_ladder, near
-
-
 def _chunk_task(task: tuple) -> tuple:
-    compute, chunk_idx, rows = task
-    return compute(_PAYLOAD, chunk_idx, rows)
+    return _compute_chunk(_PAYLOAD, *task)
 
 
-def _run_chunks(
-    payload: tuple, n_trials: int, workers: int, compute=_compute_chunk
-) -> tuple:
-    """``compute``'s per-trial arrays for one stream (by default
-    ``(n_active, out)``), joined in trial order; identical for any worker
-    count."""
+def _run_chunks(payload: tuple, n_trials: int, workers: int) -> tuple:
+    """``(n_active, out)`` for one stream, in trial order; identical for any
+    worker count.  Each chunk's arrays are copied into place as they come,
+    so the stream's arrays are not held twice."""
     specs = _chunk_specs(n_trials)
+    n_active = np.empty(n_trials, dtype=np.int64)
+    out = np.empty((n_trials, len(payload[-1][-1]), 2))
+
+    def place(parts):
+        for (_idx, start, rows), (na, o) in zip(specs, parts):
+            n_active[start: start + rows], out[start: start + rows] = na, o
+
     if workers == 1:
-        parts = [compute(payload, idx, rows) for idx, _start, rows in specs]
+        place(_compute_chunk(payload, i, rows) for i, _start, rows in specs)
     else:
         # only a pool pays for importing the pool machinery
         import multiprocessing
@@ -448,39 +385,12 @@ def _run_chunks(
             with ProcessPoolExecutor(
                 max_workers=min(workers, len(specs)), mp_context=ctx
             ) as pool:
-                parts = list(pool.map(
-                    _chunk_task,
-                    [(compute, idx, rows) for idx, _start, rows in specs],
+                place(pool.map(
+                    _chunk_task, [(idx, rows) for idx, _start, rows in specs]
                 ))
         finally:
             _PAYLOAD = None
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
-
-
-def _exact_costs(payload: tuple, trials: np.ndarray) -> np.ndarray:
-    """Exact max-rate sum cost of the stream's trials ``trials`` (sorted
-    ascending), from their uniform rows.  ``batch.run_chunk`` with libm
-    writes the bits of every ``kernels.run_chunk`` backend."""
-    n_inst, block_rows, kernel_args = payload[2], payload[4], payload[-1]
-    picked = []
-    for chunk_idx, start, rows in _chunk_specs(int(trials[-1]) + 1):
-        want = trials[(trials >= start) & (trials < start + rows)] - start
-        if want.size == 0:
-            continue
-        for a, b, u in _uniform_blocks(payload, chunk_idx, rows):
-            if a > want[-1]:
-                break
-            picked.append(u[want[(want >= a) & (want < b)] - a])
-    u = np.concatenate(picked)
-    n_active = np.zeros(len(u), dtype=np.int64)
-    out = np.zeros((len(u), 1, 2))
-    for a in range(0, len(u), block_rows):
-        b = min(a + block_rows, len(u))
-        batch.run_chunk(
-            u[a:b, :n_inst], u[a:b, n_inst: 2 * n_inst],
-            u[a:b, 2 * n_inst:], *kernel_args, n_active[a:b], out[a:b],
-        )
-    return out[:, 0, 1]
+    return n_active, out
 
 
 def campaign_cells(
@@ -517,15 +427,11 @@ def calibrate_budget(
 
     The calibration shares the master seed's geometry but draws trials from
     its own sub-stream, so evaluating with the returned budget on the
-    evaluation stream is an out-of-sample test of the target outage.
-
-    The result is the one order statistic of the exact costs that
-    :func:`budget_from_samples` picks, found in two passes.  A filter pass
-    computes every trial's cost with NumPy's ufuncs in place of libm
-    (:func:`_filter_chunk`); an exact pass recomputes with libm only the
-    trials the filter cannot place above or below the quantile
-    (:func:`_order_statistic`).  Logs ``n``, ``k``, the budget, the number
-    of trials recomputed and the in-sample outage.
+    evaluation stream is an out-of-sample test of the target outage.  Its
+    costs come from the max-rate kernel alone, through the chunk loop the
+    evaluation runs, and the budget is the order statistic that
+    :func:`budget_from_samples` picks.  Logs ``n``, ``k``, the budget and
+    the in-sample outage.
     """
     if config.epsilon is None:
         raise ValueError(
@@ -539,19 +445,15 @@ def calibrate_budget(
     cells = campaign_cells(config, geometry)
     payload = _payload(
         cells, config.table, config.model, config.phy,
-        config.seed, CALIBRATION_STREAM,
-        budget=math.inf, kinds=[kernels.MRS], memo=False,
+        config.seed, CALIBRATION_STREAM, budget=math.inf, kinds=[kernels.MRS],
     )
-    cost, on_ladder, near = _run_chunks(
-        payload, trials, config.workers, _filter_chunk
-    )
-    c_server, refined, over = _order_statistic(
-        cost, on_ladder, near, k, lambda t: _exact_costs(payload, t)
-    )
+    cost = _run_chunks(payload, trials, config.workers)[1][:, 0, 1]
+    c_server = float(np.sort(cost)[trials - 1 - k])
+    over = int(np.count_nonzero(cost > c_server))
     log.info(
-        "calibration: n = %d, k = %d, c_server = %r, %d trials recomputed "
-        "exactly, in-sample outage %d (%.4f)",
-        trials, k, c_server, refined, over, over / trials,
+        "calibration: n = %d, k = %d, c_server = %r, in-sample outage %d "
+        "(%.4f)",
+        trials, k, c_server, over, over / trials,
     )
     return c_server
 
@@ -784,6 +686,7 @@ def write_cdf_csvs(result: CampaignResult, out_dir) -> list[str]:
     tabulated once, and their files are written from the same text.  A
     table's values are distinct, and it is formatted and written
     WRITE_TRIALS rows at a time, so only one block's text is held at once.
+    Each fraction ``k / n_trials`` is formatted once for all the tables.
     """
     paths = []
     # each distinct series, by its bits, and the paths of its table
@@ -799,21 +702,40 @@ def write_cdf_csvs(result: CampaignResult, out_dir) -> list[str]:
                 group = []
                 tables.append((bits, group))
             group.append(paths[-1])
+    fractions = _fraction_text(result.n_trials)
     for bits, group in tables:
         values, at_most = _cdf_counts(bits.view(np.float64))
-        _atomic_write(group, _cdf_blocks(values, at_most, result.n_trials))
+        _atomic_write(group, _cdf_blocks(values, at_most, fractions))
     return paths
 
 
-def _cdf_blocks(values, at_most, n: int):
+def _fraction_text(n: int) -> tuple[str, np.ndarray]:
+    """``(text, ends)``: ``repr(k / n)`` for ``k = 1 .. n`` in one string,
+    the text of ``k`` being ``text[ends[k - 1]: ends[k]]``."""
+    parts = []
+    ends = np.zeros(n + 1, dtype=np.int64)
+    for start in range(1, n + 1, WRITE_TRIALS):
+        stop = min(start + WRITE_TRIALS, n + 1)
+        texts = [repr(k / n) for k in range(start, stop)]
+        parts.append("".join(texts))
+        ends[start: stop] = np.fromiter(map(len, texts), np.int64, len(texts))
+    return "".join(parts), np.cumsum(ends, out=ends)
+
+
+def _cdf_blocks(values, at_most, fractions):
     """The text of a CDF table, WRITE_TRIALS rows at a time: each distinct
-    value and the fraction ``k / n`` of the samples at most it."""
+    value and the fraction of the samples at most it, whose text is read
+    from :func:`_fraction_text`."""
+    text, ends = fractions
     yield "value,fraction\n"
     for start in range(0, values.size, WRITE_TRIALS):
         block = slice(start, start + WRITE_TRIALS)
+        k = at_most[block]
         yield "".join([
-            f"{v!r},{k / n!r}\n"
-            for v, k in zip(values[block].tolist(), at_most[block].tolist())
+            f"{v!r},{text[a:b]}\n"
+            for v, a, b in zip(
+                values[block].tolist(), ends[k - 1].tolist(), ends[k].tolist()
+            )
         ])
 
 

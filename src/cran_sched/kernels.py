@@ -13,8 +13,7 @@ Three callers use the kernels:
   same bits many times faster than the interpreted loop (its module
   docstring gives the rules that keep it bit-identical).  ``BACKEND`` names
   the implementation in use, ``"numba"`` or ``"numpy"``.  The calibration
-  calls ``batch.run_chunk`` under either backend (see
-  ``harness.calibrate_budget``);
+  runs the same chunk loop with the max-rate kernel alone;
 * the library (``sched``, ``netsim.draw_from_row``) calls the per-trial
   kernels directly, compiled or interpreted;
 * the campaign benchmark's traced run replays trials through the public
@@ -331,15 +330,16 @@ def _run_chunk(
     u_occ, u_pos, u_fade,
     p_occ, pool_xy, pool_off, bs_xy, dmin, nc,
     thresholds, rates, c0, ilz,
-    p0, noise, apl, s, memo,
+    p0, noise, apl, s, terms,
     budget, kinds,
     out_n_active, out,
 ):
     """Full per-trial pipeline over one block of uniform rows.
 
     Runs scheduler ``kinds[j]`` on every trial's active users and writes
-    ``out[t, j] = (sum_rate, sum_complexity)``.  ``memo`` is the batched
-    path's pool-point memo (``batch.pool_memo``); this loop does not use it.
+    ``out[t, j] = (sum_rate, sum_complexity)``.  ``terms`` is the batched
+    path's table of position terms (``batch.position_terms``); this loop
+    does not use it.
     """
     rows = u_occ.shape[0]
     n_inst = p_occ.shape[0]

@@ -143,19 +143,6 @@ def all_exact_budget(cfg):
         return budget_from_samples(all_exact_costs(cfg), cfg.epsilon)
 
 
-def recorded_exact_passes(monkeypatch):
-    """Record the trials each exact pass of the calibration recomputes."""
-    passes = []
-    exact = harness._exact_costs
-
-    def recorded(payload, trials):
-        passes.append(trials.copy())
-        return exact(payload, trials)
-
-    monkeypatch.setattr(harness, "_exact_costs", recorded)
-    return passes
-
-
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("workload", ["reference", "interference"])
 def test_calibrate_budget_equals_the_all_exact_budget(workload, seed):
@@ -181,10 +168,10 @@ def test_calibrate_budget_equals_the_all_exact_budget(workload, seed):
             assert got == expected, (eps, workers)
 
 
-def test_trial_with_a_sinr_on_a_threshold_is_recomputed(monkeypatch):
+def test_trial_with_a_sinr_on_a_threshold_is_recomputed():
     # move a ladder threshold exactly onto an active user's exact SINR: the
-    # filter may put that user on the rung below, so the trial must be
-    # recomputed, and the budget must still be the all-exact one
+    # calibration must put that user on the threshold's rung, as the scalar
+    # kernels do, and the budget must be the all-exact one
     cfg = small_config()
     cells = harness.campaign_cells(cfg, harness.campaign_geometry(cfg))
     rows = np.random.default_rng(
@@ -206,28 +193,26 @@ def test_trial_with_a_sinr_on_a_threshold_is_recomputed(monkeypatch):
     cfg = dataclasses.replace(
         cfg, table=dataclasses.replace(cfg.table, thresholds=thresholds)
     )
-    passes = recorded_exact_passes(monkeypatch)
     assert calibrate_budget(cfg) == all_exact_budget(cfg)
-    assert t in np.concatenate(passes)
+    users = [
+        UserChannel(k, float(sinr[k]))
+        for k in range(cells.nc)
+        if draw.occupied[k]
+    ]
+    alloc = mrs(users, cfg.table, cfg.model)
+    assert all_exact_costs(cfg)[t] == alloc.sum_complexity
 
 
-def test_calibration_ties_at_zero(monkeypatch, caplog):
+def test_calibration_ties_at_zero(caplog):
     # at a density this low most trials have no active user on the ladder,
-    # so the quantile is a tie at 0.0; those trials are known without a
-    # recomputation
+    # so the quantile is a tie at 0.0
     cfg = small_config(phy=PhyParams(lambda_density=0.001))
     costs = all_exact_costs(cfg)
     assert np.count_nonzero(costs == 0.0) > 0.9 * costs.size
-    passes = recorded_exact_passes(monkeypatch)
     with caplog.at_level(logging.INFO, logger="cran_sched"):
         assert calibrate_budget(cfg) == all_exact_budget(cfg) == 0.0
-    recomputed = np.concatenate(passes)
-    assert 0 < recomputed.size <= 20
     over = np.count_nonzero(costs > 0.0)
-    assert (
-        f"{recomputed.size} trials recomputed exactly, "
-        f"in-sample outage {over} " in caplog.text
-    )
+    assert f"c_server = 0.0, in-sample outage {over} " in caplog.text
 
 
 def test_calibrate_budget_logs_its_diagnostics(caplog):
@@ -242,64 +227,6 @@ def test_calibrate_budget_logs_its_diagnostics(caplog):
         in caplog.text
     )
     assert f"in-sample outage {over} ({over / 1000:.4f})" in caplog.text
-
-
-def test_order_statistic_equals_the_sorted_exact_costs():
-    # synthetic filter values: off-ladder zeros, values within their band,
-    # and trials near a threshold whose exact cost lies far from the filter
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        n = int(rng.integers(1, 300))
-        exact = np.round(rng.exponential(20.0, n), int(rng.integers(0, 3)))
-        on_ladder = rng.random(n) < 0.8
-        exact[~on_ladder] = 0.0
-        near = on_ladder & (rng.random(n) < 0.05)
-        cost = exact * (1.0 + rng.uniform(-1e-12, 1e-12, n))
-        cost[near] = rng.exponential(20.0, np.count_nonzero(near))
-        k = int(rng.integers(0, n))
-        calls = []
-
-        def recompute(t):
-            calls.append(t)
-            return exact[t]
-
-        c, recomputed, over = harness._order_statistic(
-            cost, on_ladder, near, k, recompute
-        )
-        assert c == np.sort(exact)[n - 1 - k]
-        assert over == np.count_nonzero(exact > c)
-        done = np.concatenate(calls) if calls else np.array([], int)
-        assert recomputed == done.size == np.unique(done).size
-        assert set(np.flatnonzero(near)) <= set(done.tolist())
-
-
-def test_filter_error_beyond_its_band_raises(monkeypatch):
-    vectorised = harness._vectorised
-
-    def off_by_1e6(fn, x, *args):
-        return vectorised(fn, x, *args) * (1.0 + 1e-6)
-
-    monkeypatch.setattr(harness, "_vectorised", off_by_1e6)
-    with pytest.raises(RuntimeError, match="outside the band"):
-        calibrate_budget(small_config())
-
-
-def test_pinned_budget_runs_no_filter(monkeypatch):
-    calls = []
-    vectorised = harness._vectorised
-
-    def counted(fn, x, *args):
-        calls.append(fn)
-        return vectorised(fn, x, *args)
-
-    monkeypatch.setattr(harness, "_vectorised", counted)
-    cfg = small_config(n_trials=1000)
-    calibrate_budget(cfg)
-    assert calls, "the calibration filter runs through _vectorised"
-    calls.clear()
-    run_campaign(dataclasses.replace(cfg, epsilon=None, c_server=50.0))
-    run_campaign(cfg, c_server=50.0)
-    assert calls == []
 
 
 # ------------------------------------------------------------ empirical cdf
@@ -322,6 +249,26 @@ def test_empirical_cdf_is_a_cdf():
     assert np.all(np.diff(table[:, 1]) > 0)
     assert table[-1, 1] == 1.0
     assert table[0, 1] > 0.0
+
+
+def test_cdf_counts_equal_numpy_unique():
+    # ties, both zeros, infinities and NaNs, which np.unique counts as one
+    # value: the same values, bit for bit, and the same cumulative counts
+    rng = np.random.default_rng(4)
+    pool = np.array(
+        [0.0, -0.0, 1.0, 2.5, -3.0, 5e-324, np.inf, -np.inf, np.nan]
+    )
+    for n in [1, 2, 3, *rng.integers(4, 200, 300)]:
+        if n % 2:
+            x = rng.choice(pool, n)
+        else:
+            x = np.round(rng.normal(size=n), 1)
+        values, at_most = harness._cdf_counts(x)
+        want, counts = np.unique(x, return_counts=True)
+        np.testing.assert_array_equal(
+            values.view(np.uint64), want.view(np.uint64)
+        )
+        np.testing.assert_array_equal(at_most, np.cumsum(counts))
 
 
 # ------------------------------------------------------------ config checks
@@ -573,13 +520,57 @@ def test_sweep_lambda_holds_budget_fixed(campaign):
         sweep_lambda(cfg, [0.5], reference_lambda=0.0)
 
 
-def test_sweep_lambda_explicit_budget_skips_calibration(campaign):
+def test_sweep_lambda_explicit_budget_skips_calibration(campaign, monkeypatch):
     cfg, _ = campaign
+
+    def no_calibration(*args, **kwargs):
+        raise AssertionError("a pinned budget ran a calibration")
+
+    monkeypatch.setattr(harness, "calibrate_budget", no_calibration)
     fixed = dataclasses.replace(
         cfg, n_trials=2000, epsilon=None, c_server=42.0
     )
     pts = sweep_lambda(fixed, [0.5, 1.0])
     assert all(pt.result.c_server == 42.0 for pt in pts)
+    # nor does a campaign given a budget
+    small = dataclasses.replace(cfg, n_trials=1000)
+    assert run_campaign(fixed).c_server == 42.0
+    assert run_campaign(small, c_server=50.0).c_server == 50.0
+
+
+def counted_position_terms(monkeypatch):
+    """Forget the kept position-term table and record each table
+    ``batch.position_terms`` builds, by its number of scheduled cells."""
+    from cran_sched import batch
+
+    built = []
+    build = batch.position_terms
+
+    def counted(pool_xy, pool_off, bs_xy, dmin, nc, *args):
+        built.append(nc)
+        return build(pool_xy, pool_off, bs_xy, dmin, nc, *args)
+
+    monkeypatch.setattr(batch, "position_terms", counted)
+    monkeypatch.setattr(harness, "_TERMS", None)
+    return built
+
+
+def test_position_terms_are_built_once_per_cell_set(monkeypatch):
+    cfg = small_config(n_trials=1000, background_interference=True)
+    geometry = harness.campaign_geometry(cfg)
+    built = counted_position_terms(monkeypatch)
+    run_campaign(cfg, geometry, c_server=calibrate_budget(cfg, geometry))
+    assert built == [3]
+    # every density shares the cell set, in one process or forked workers
+    for workers in (1, 2):
+        sweep_lambda(
+            dataclasses.replace(cfg, workers=workers), [0.5, 2.0],
+            geometry=geometry,
+        )
+    assert built == [3]
+    # another cell count is another cell set, and the last one is kept
+    sweep_nc(cfg, [2, 2, 3], geometry=geometry)
+    assert built == [3, 2, 3]
 
 
 # ------------------------------------------------------------ result files
@@ -601,10 +592,14 @@ def test_failed_probe_leaves_the_campaign_files_unchanged(
         return libm(fn, x, args)
 
     monkeypatch.setattr(batch, "_libm", counted)
+    # each run builds its own position-term table, whose pow calls go
+    # through the libm path under test
+    monkeypatch.setattr(harness, "_TERMS", None)
     monkeypatch.setattr(batch, "_FAST", {})
     fast = run_campaign(cfg)
     assert {math.log1p, pow, math.log2} <= set(calls)
     calls.clear()
+    monkeypatch.setattr(harness, "_TERMS", None)
     monkeypatch.setattr(batch, "_FAST", {})
     monkeypatch.setattr(batch, "_probe", lambda fn: False)
     slow = run_campaign(cfg)

@@ -6,11 +6,11 @@ produce the bits of the scalar kernels run interpreted
 (``kernels._run_chunk``):
 
 * the batched path is compared with the scalar loop, exactly, on chunks of
-  the benchmark workloads and on edge cases, run a block at a time with one
-  pool-point memo per stream as the campaign runs it;
-* the campaign's per-block uniform draws are the one-shot draw of a chunk,
-  and a pool point's power terms are computed at most once per stream, or
-  for every draw when there is no memo (the calibration's exact pass);
+  the benchmark workloads and on edge cases, run a block at a time with the
+  cell set's position-term table as the campaign runs it;
+* each row of that table holds the scalar kernels' power terms of its pool
+  point, bit for bit; the table is built once per stream and only read;
+* the campaign's per-block uniform draws are the one-shot draw of a chunk;
 * ``batch._libm``, which runs libm in NumPy's scalar loop, must give the
   bits of one CPython call per element (``batch._map``) wherever its probe
   passes, and fall back to it, errors included, outside its domain;
@@ -329,8 +329,8 @@ def test_batched_sinr_equals_scalar_with_floored_gains():
     args = kernel_args(cells, config, 3.0)
     occ, sinr = batch._channel(
         u[:, :n_inst], u[:, n_inst: 2 * n_inst], u[:, 2 * n_inst:],
-        # the cell arrays, then p0, noise, apl, s and the pool-point memo
-        *args[:6], *args[10:15],
+        # p_occ, pool_off, nc, p0, noise and the position-term table
+        args[0], args[2], args[5], args[10], args[11], args[14],
     )
     for t in range(u.shape[0]):
         ref_occ, ref_sinr = scalar_sinr(config, cells, u[t])
@@ -403,6 +403,52 @@ def test_uniform_blocks_equal_the_one_shot_draw():
     )
 
 
+def scalar_terms(cells, phy):
+    """Each pool point's power terms as ``kernels._sinr_trial`` computes
+    them, one ``pow`` call each, with ``0.0`` for the unused ones: the
+    point's loss to its own cell and a background point's signal term."""
+    apl, s, dmin = phy.pathloss_exponent, phy.s, harness.MIN_DISTANCE_KM
+    rows = []
+    for owner in range(cells.n_inst):
+        for g in range(cells.pool_off[owner], cells.pool_off[owner + 1]):
+            px, py = cells.pool_xy[g]
+
+            def dist(k):
+                dx, dy = px - cells.bs_xy[k, 0], py - cells.bs_xy[k, 1]
+                d = math.sqrt(dx * dx + dy * dy)
+                return d if d > dmin else dmin
+
+            d_serv = dist(owner)
+            rows.append([
+                d_serv ** (s * apl),
+                d_serv ** ((s - 1.0) * apl) if owner < cells.nc else 0.0,
+                *(
+                    0.0 if k == owner else dist(k) ** (-apl)
+                    for k in range(cells.nc)
+                ),
+            ])
+    return np.array(rows)
+
+
+def test_position_terms_equal_the_scalar_power_terms(monkeypatch):
+    # blocks of a few points, so that a block boundary falls inside a cell
+    monkeypatch.setattr(batch, "TERMS_ELEMENTS", 7 * 3)
+    config, cells = small_cells(background=True)
+    assert cells.n_inst > cells.nc == 3
+    phy = config.phy
+    terms = batch.position_terms(
+        cells.pool_xy, cells.pool_off, cells.bs_xy, harness.MIN_DISTANCE_KM,
+        cells.nc, phy.pathloss_exponent, phy.s,
+    )
+    want = scalar_terms(cells, phy)
+    assert terms.shape == want.shape == (cells.pool_xy.shape[0], 2 + cells.nc)
+    np.testing.assert_array_equal(bits(terms), bits(want))
+    # each scheduled cell's own column is zero for its points only
+    owner = np.repeat(np.arange(cells.n_inst), np.diff(cells.pool_off))
+    for k in range(cells.nc):
+        np.testing.assert_array_equal(terms[:, 2 + k] == 0.0, owner == k)
+
+
 def test_pool_point_drawn_in_two_blocks_equals_scalar():
     config, cells = small_cells(background=True)
     n_inst = cells.n_inst
@@ -411,26 +457,25 @@ def test_pool_point_drawn_in_two_blocks_equals_scalar():
     u[20:, n_inst: 2 * n_inst] = u[:20, n_inst: 2 * n_inst]
     u[20:, 2 * n_inst:] = u[:20, 2 * n_inst:][::-1]  # ... new gains
     args = kernel_args(cells, config, 3.0)
-    memo = args[14]
-    assert not memo.any()
+    terms = args[14].copy()
     assert_paths_equal(u[:20], cells, args)
-    filled = memo.copy()
-    assert (filled[:, 0] == 1.0).sum() > 0
-    # the second block reads the same points from the memo
+    # the second block reads the same points from the table, which the
+    # blocks only read
     assert_paths_equal(u[20:], cells, args)
-    np.testing.assert_array_equal(memo, filled)
+    np.testing.assert_array_equal(bits(args[14]), bits(terms))
 
 
 def test_pool_point_terms_are_computed_once_per_stream(monkeypatch):
     monkeypatch.setattr(kernels, "run_chunk", batch.run_chunk)
-    fill = batch._fill
-    filled = []
+    built = []
+    build = batch.position_terms
 
-    def counted(memo, new, *args):
-        filled.append(new.copy())
-        fill(memo, new, *args)
+    def counted(*args):
+        built.append(args)
+        return build(*args)
 
-    monkeypatch.setattr(batch, "_fill", counted)
+    monkeypatch.setattr(batch, "position_terms", counted)
+    monkeypatch.setattr(harness, "_TERMS", None)
     config, cells = small_cells(background=True)
     payload = harness._payload(
         cells, config.table, config.model, config.phy, config.seed,
@@ -439,13 +484,7 @@ def test_pool_point_terms_are_computed_once_per_stream(monkeypatch):
     # three chunks, the last one partial, each of several blocks
     n_trials = 2 * harness.CHUNK_TRIALS + 100
     n_active, out = harness._run_chunks(payload, n_trials, workers=1)
-    points = np.concatenate(filled)
-    assert len(filled) > 3
-    assert np.unique(points).size == points.size, "a point was recomputed"
-    memo = payload[-1][14]
-    np.testing.assert_array_equal(
-        np.flatnonzero(memo[:, 0]), np.sort(points)
-    )
+    assert len(built) == 1
     for chunk in (0, 2):
         a = chunk * harness.CHUNK_TRIALS
         rows = min(harness.CHUNK_TRIALS, n_trials - a)
@@ -455,18 +494,22 @@ def test_pool_point_terms_are_computed_once_per_stream(monkeypatch):
         )
 
 
-def test_batched_path_without_a_memo_equals_scalar():
-    # the calibration's exact pass computes each block's position terms
-    # directly, with no pool-point memo
-    config, cells = small_cells(background=True)
-    u = uniforms(7, harness.CALIBRATION_STREAM, 0, 300, cells.row_len)
-    for budget, kinds in ((math.inf, [kernels.MRS]), (3.0, ALL_KINDS)):
-        args = harness._payload(
-            cells, config.table, config.model, config.phy, config.seed,
-            harness.CALIBRATION_STREAM, budget, kinds, memo=False,
-        )[-1]
-        assert args[14] is None
-        assert_paths_equal(u, cells, args)
+def test_rows_within_budget_keep_the_max_rate_allocation():
+    # a block where no row is over budget and one where every row is: the
+    # greedy kernels run on the bound rows only, and every row equals the
+    # scalar kernels
+    config, cells = small_cells()
+    u = uniforms(7, 1, 6, 300, cells.row_len)
+    u[:, : cells.n_inst] = 0.0          # every cell occupied
+    _n, ref = scalar_run(u, cells.n_inst, kernel_args(cells, config, 0.0))
+    cost = ref[:, 0, 1]
+    bound = u[cost > 0.0]
+    assert bound.shape[0] > 100
+    budget = float(cost.max())
+    _n, out = assert_paths_equal(u, cells, kernel_args(cells, config, budget))
+    assert (out == out[:, :1]).all()
+    _n, out = assert_paths_equal(bound, cells, kernel_args(cells, config, 0.0))
+    assert (out[:, 1:, 1] == 0.0).all() and (out[:, 0, 1] > 0.0).all()
 
 
 def test_batched_source_keeps_to_the_bit_identity_rules():
