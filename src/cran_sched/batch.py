@@ -1,4 +1,4 @@
-"""Trial-batched NumPy ``run_chunk``: the campaign kernel when numba is off.
+"""Trial-batched NumPy ``run_chunk``: the campaign's chunk kernel.
 
 :func:`run_chunk` takes the arguments of ``kernels._run_chunk`` and writes
 the same outputs, bit for bit, but works on a block of trials at once
@@ -174,7 +174,7 @@ def _distance(dx, dy, dmin):
 
 
 def position_terms(pool_xy, pool_off, bs_xy, dmin, nc, apl, s):
-    """One row per pool point of the power terms ``kernels._sinr_trial``
+    """One row per pool point of the power terms ``kernels.sinr_trial``
     computes for a user there (see the column names above).  A point's loss
     to its own cell and, in a background cell, its signal term are never
     used and are ``0.0``."""
@@ -199,7 +199,7 @@ def position_terms(pool_xy, pool_off, bs_xy, dmin, nc, apl, s):
 
 def _channel(u_occ, u_pos, u_fade, p_occ, pool_off, nc, p0, noise, terms):
     """Occupancy (rows x n_inst) and SINR (rows x nc) of a block of trials,
-    as ``kernels._draw_arrays`` and ``kernels._sinr_trial`` compute them,
+    as ``kernels.draw_arrays`` and ``kernels.sinr_trial`` compute them,
     from the :func:`position_terms` table ``terms``.  The SINR of an
     unoccupied cell is left unspecified."""
     rows, n_inst = u_occ.shape
@@ -230,7 +230,7 @@ def _channel(u_occ, u_pos, u_fade, p_occ, pool_off, nc, p0, noise, terms):
 
 
 def _costs(idx, cap, rates, c0, ilz):
-    """``kernels._complexity_value`` at ladder entries ``idx`` (any shape),
+    """``kernels.complexity_value`` at ladder entries ``idx`` (any shape),
     ``0.0`` where ``idx < 0``, and the ``log2(cap - rate)`` it takes there,
     which :func:`_levels` reuses."""
     comp = np.zeros(idx.shape)
@@ -244,7 +244,7 @@ def _costs(idx, cap, rates, c0, ilz):
 
 
 def _levels(idx, cap, comp, lg, rates, c0, ilz):
-    """The water level of ``kernels._water_level_and_beta`` at ladder entries
+    """The water level of ``kernels.water_level_and_beta`` at ladder entries
     ``idx`` (any shape), given their :func:`_costs`; ``-inf`` where
     ``idx < 0``."""
     wl = np.full(idx.shape, -np.inf)
@@ -268,7 +268,7 @@ def _step_down(idx, comp, rows, best, cap, rates, c0, ilz):
 
 
 def _swf(mf, cap, init_c, wl0, rates, c0, ilz, budget):
-    """``kernels._swf_trial`` (without its pre-pass) over a block."""
+    """``kernels.swf_trial`` (without its pre-pass) over a block."""
     idx, comp, wl = mf.copy(), init_c.copy(), wl0.copy()
     rows = np.flatnonzero(_seq_sum(comp) > budget)
     while rows.size:
@@ -297,7 +297,7 @@ def _swf(mf, cap, init_c, wl0, rates, c0, ilz, budget):
 
 
 def _scc(mf, cap, init_c, rates, c0, ilz, budget):
-    """``kernels._scc_trial`` over a block."""
+    """``kernels.scc_trial`` over a block."""
     idx, comp = mf.copy(), init_c.copy()
     rows = np.flatnonzero(_seq_sum(comp) > budget)
     while rows.size:

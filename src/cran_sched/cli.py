@@ -17,7 +17,7 @@ import os
 import sys
 from dataclasses import dataclass, fields
 
-from . import __version__, harness, kernels
+from . import __version__, harness
 from .complexity import ModelParams
 from .harness import CampaignConfig
 from .mcs import McsTable, build_table, db_to_linear, default_table, load_rates
@@ -338,8 +338,11 @@ def cmd_run(rc: RunConfig, args) -> int:
 
 
 def _run_sweep(rc: RunConfig, args, command: str, points, value_name) -> int:
+    """Write each point's files as its campaign finishes, then the sweep
+    summary; ``points`` is an iterator, so no finished point is kept."""
     sweep_path = os.path.join(args.out, f"{command.replace('-', '_')}.csv")
-    for pt in points:
+
+    def write_point(pt):
         label = (
             f"nc_{int(pt.value):02d}"
             if value_name == "nc"
@@ -353,7 +356,9 @@ def _run_sweep(rc: RunConfig, args, command: str, points, value_name) -> int:
             "%s = %r done (c_server %r)", value_name, pt.value,
             pt.result.c_server,
         )
-    harness.write_sweep_csv(points, value_name, sweep_path)
+        return pt
+
+    harness.write_sweep_csv(map(write_point, points), value_name, sweep_path)
     _manifest(rc, args, command)
     if args.stdout:
         with open(sweep_path, "r") as fh:
@@ -364,15 +369,15 @@ def _run_sweep(rc: RunConfig, args, command: str, points, value_name) -> int:
 def cmd_sweep_nc(rc: RunConfig, args) -> int:
     config = build_campaign(rc)
     log.info("sweeping scheduled-cell counts %s", list(rc.nc_values))
-    points = harness.sweep_nc(config, rc.nc_values)
+    points = harness._nc_points(config, rc.nc_values, None)
     return _run_sweep(rc, args, "sweep-nc", points, "nc")
 
 
 def cmd_sweep_lambda(rc: RunConfig, args) -> int:
     config = build_campaign(rc)
     log.info("sweeping user densities %s", list(rc.lambda_values))
-    points = harness.sweep_lambda(
-        config, rc.lambda_values, rc.reference_lambda
+    points = harness._lambda_points(
+        config, rc.lambda_values, rc.reference_lambda, None
     )
     return _run_sweep(rc, args, "sweep-lambda", points, "lambda")
 
@@ -440,11 +445,6 @@ def main(argv=None) -> int:
             level=getattr(logging, rc.log_level.upper()),
             format="%(levelname)s %(name)s: %(message)s",
         )
-        if kernels.numba_requested() and not kernels.NUMBA_ENABLED:
-            log.warning(
-                "numba was requested but did not import; "
-                "running the NumPy kernels"
-            )
         os.makedirs(args.out, exist_ok=True)
         return _COMMANDS[args.command](rc, args)
     except (ConfigError, LayoutError, ValueError, OSError) as exc:

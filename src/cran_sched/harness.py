@@ -10,7 +10,7 @@ outages and have their recorded sum-rate zeroed (the ``unconstrained``
 series is the same allocation as ``mrs`` but is never scored against the
 budget).  Which schedulers exist, which kernel computes each and how each
 is scored against the budget is the one table :data:`SCHEDULERS`: adding a
-scheduler is one entry there, plus one branch in ``kernels._schedule`` and
+scheduler is one entry there, plus one branch in ``kernels.schedule`` and
 one in ``batch._schedule`` if it needs a new kernel.
 
 Randomness is organized so every trial is a pure function of the master
@@ -538,6 +538,11 @@ def sweep_nc(
     (an explicit ``c_server`` is kept as given).  All points share the
     layout's geometry and the master seed.
     """
+    return list(_nc_points(config, nc_values, geometry))
+
+
+def _nc_points(config, nc_values, geometry):
+    """:func:`sweep_nc`'s points, each yielded as it finishes."""
     values = [int(nc) for nc in nc_values]
     for nc in values:
         if not 1 <= nc <= config.layout.n_bs:
@@ -546,14 +551,12 @@ def sweep_nc(
             )
     if geometry is None:
         geometry = campaign_geometry(config)
-    points = []
     for nc in values:
         layout = config.layout.with_centralized(
             most_central_ids(config.layout, nc)
         )
         cfg = dataclasses.replace(config, layout=layout)
-        points.append(SweepPoint(float(nc), run_campaign(cfg, geometry)))
-    return points
+        yield SweepPoint(float(nc), run_campaign(cfg, geometry))
 
 
 def sweep_lambda(
@@ -570,6 +573,13 @@ def sweep_lambda(
     master seed, so the underlying uniforms are common random numbers and
     occupancy grows monotonically with the density.
     """
+    return list(
+        _lambda_points(config, lambda_values, reference_lambda, geometry)
+    )
+
+
+def _lambda_points(config, lambda_values, reference_lambda, geometry):
+    """:func:`sweep_lambda`'s points, each yielded as it finishes."""
     values = [float(v) for v in lambda_values]
     if not values:
         raise ValueError("lambda_values must be non-empty")
@@ -585,15 +595,11 @@ def sweep_lambda(
             config, phy=dataclasses.replace(config.phy, lambda_density=ref)
         )
         budget = calibrate_budget(ref_cfg, geometry=geometry)
-    points = []
     for lam in values:
         cfg = dataclasses.replace(
             config, phy=dataclasses.replace(config.phy, lambda_density=lam)
         )
-        points.append(
-            SweepPoint(lam, run_campaign(cfg, geometry, c_server=budget))
-        )
-    return points
+        yield SweepPoint(lam, run_campaign(cfg, geometry, c_server=budget))
 
 
 # ----------------------------------------------------------------------
@@ -739,17 +745,21 @@ def _cdf_blocks(values, at_most, fractions):
         ])
 
 
-def write_sweep_csv(points: list[SweepPoint], value_name: str, path) -> None:
-    """Sweep summary: one row per (point, scheduler)."""
+def write_sweep_csv(points, value_name: str, path) -> None:
+    """Sweep summary: one row per (point, scheduler).  ``points`` may be an
+    iterator of :class:`SweepPoint`; none is held once its rows are made."""
     lines = [f"{value_name},scheduler,mean_sum_rate,outage_rate,c_server"]
-    for pt in points:
-        for name in pt.result.schedulers:
-            s = pt.result.series[name]
-            lines.append(
-                f"{pt.value!r},{name},{s.mean_sum_rate!r},"
-                f"{s.outage_rate!r},{pt.result.c_server!r}"
-            )
+    lines.extend(chain.from_iterable(map(_sweep_rows, points)))
     _atomic_write([path], ["\n".join(lines) + "\n"])
+
+
+def _sweep_rows(pt: SweepPoint) -> list[str]:
+    res = pt.result
+    return [
+        f"{pt.value!r},{name},{res.mean_sum_rate(name)!r},"
+        f"{res.outage_rate(name)!r},{res.c_server!r}"
+        for name in res.schedulers
+    ]
 
 
 def write_manifest(

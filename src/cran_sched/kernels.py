@@ -1,28 +1,22 @@
-"""Hot numeric kernels: per-trial SINR, greedy MCS allocation, chunk driver.
+"""Scalar numeric kernels: per-trial SINR, greedy MCS allocation, chunk loop.
 
-Every function here is a plain scalar/loop routine that runs unchanged
-under CPython.  At import time the module compiles the whole family with
-``numba.njit`` unless the environment variable ``CRAN_SCHED_NUMBA`` is set
-to ``0`` (or numba is unavailable); ``NUMBA_ENABLED`` reports the choice.
-Three callers use the kernels:
+Every function here is a plain scalar/loop routine, one trial (or one user)
+at a time.  Three callers use the kernels:
 
-* the evaluation campaign calls :data:`run_chunk` once per block of
-  uniform rows (``harness`` splits each chunk into blocks).  With numba
-  enabled that is the compiled :func:`_run_chunk`; otherwise it is
-  ``batch.run_chunk``, a trial-batched NumPy implementation that writes the
-  same bits many times faster than the interpreted loop (its module
-  docstring gives the rules that keep it bit-identical).  ``BACKEND`` names
-  the implementation in use, ``"numba"`` or ``"numpy"``.  The calibration
-  runs the same chunk loop with the max-rate kernel alone;
-* the library (``sched``, ``netsim.draw_from_row``) calls the per-trial
-  kernels directly, compiled or interpreted;
+* the campaign calls :data:`run_chunk`, which is ``batch.run_chunk``, once
+  per block of uniform rows (``harness`` splits each chunk into blocks).
+  It is a trial-batched NumPy implementation that writes the bits of the
+  scalar chunk loop :func:`_run_chunk` many times faster (its module
+  docstring gives the rules that keep it bit-identical); the test suite
+  compares the two exactly.  The calibration runs the same chunk loop with
+  the max-rate kernel alone;
+* the library (``sched``, ``netsim.draw_from_row``, ``complexity``,
+  ``mcs``) calls the per-trial kernels and formula helpers directly;
 * the campaign benchmark's traced run replays trials through the public
   per-trial kernels and compares them bit for bit with the campaign.
 
-The kernels avoid numpy ufunc calls on purpose: scalar ``math.*`` operations
-lower to the same libm calls under numba and CPython, which keeps the
-compiled and interpreted kernels bit-identical (the test suite asserts exact
-equality, and also compares ``batch.run_chunk`` with :func:`_run_chunk`).
+The kernels use scalar ``math.*`` calls, which are the libm calls that
+``batch`` makes one element at a time, so the two paths agree in every bit.
 
 Scheduling kernels operate on compacted per-user arrays (active users only)
 and break argmax ties toward the lowest array position.  All budget
@@ -33,20 +27,13 @@ feasibility decision never depends on accumulated rounding drift.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 _LN2 = math.log(2.0)
 
 
-def numba_requested() -> bool:
-    """Whether ``CRAN_SCHED_NUMBA`` explicitly asks for the compiled kernels
-    (set, and not to ``0``).  Unset, they are used when numba imports."""
-    return os.environ.get("CRAN_SCHED_NUMBA", "0") != "0"
-
-
-def _seq_sum(values, n):
+def seq_sum(values, n):
     """Left-to-right sum of the first n entries (deterministic order)."""
     total = 0.0
     for i in range(n):
@@ -54,7 +41,7 @@ def _seq_sum(values, n):
     return total
 
 
-def _max_feasible_idx(thresholds, sinr):
+def max_feasible_idx(thresholds, sinr):
     """Highest index with thresholds[idx] <= sinr, or -1 (binary search)."""
     lo = 0
     hi = thresholds.shape[0]
@@ -67,7 +54,7 @@ def _max_feasible_idx(thresholds, sinr):
     return lo - 1
 
 
-def _complexity_value(rate, cap, c0, ilz):
+def complexity_value(rate, cap, c0, ilz):
     """Clamped decoding cost; caller guarantees rate < cap when rate > 0."""
     if rate <= 0.0:
         return 0.0
@@ -75,7 +62,7 @@ def _complexity_value(rate, cap, c0, ilz):
     return raw if raw > 0.0 else 0.0
 
 
-def _tangent(rate, cap, c0, ilz):
+def tangent(rate, cap, c0, ilz):
     """Tangent ``a * r + b`` of ``log2(cap - r)`` at ``rate`` and the induced
     quadratic cost coefficients: returns ``(a, b, quad_alpha, quad_beta)``."""
     g = cap - rate
@@ -84,33 +71,33 @@ def _tangent(rate, cap, c0, ilz):
     return a, b, -2.0 * a * ilz, (c0 - 2.0 * b) * ilz
 
 
-def _water_level_and_beta(rate, cap, c0, ilz, comp):
+def water_level_and_beta(rate, cap, c0, ilz, comp):
     """Water level that would allocate `rate` under the local quadratic model.
 
     Returns ``(level, quad_beta)``.  ``comp`` is the (clamped, >= 0) cost
     currently charged to the user, so the radicand is at least quad_beta**2
     and the square root is always defined.
     """
-    _a, _b, alpha, beta = _tangent(rate, cap, c0, ilz)
+    _a, _b, alpha, beta = tangent(rate, cap, c0, ilz)
     return math.sqrt(4.0 * alpha * comp + beta * beta), beta
 
 
-def _mrs_trial(sinr, cap, thresholds, rates, c0, ilz, idx, comp):
+def mrs_trial(sinr, cap, thresholds, rates, c0, ilz, idx, comp):
     """Max-rate allocation: every user at its highest feasible entry."""
     n = sinr.shape[0]
     sum_rate = 0.0
     for u in range(n):
-        i = _max_feasible_idx(thresholds, sinr[u])
+        i = max_feasible_idx(thresholds, sinr[u])
         idx[u] = i
         if i >= 0:
-            comp[u] = _complexity_value(rates[i], cap[u], c0, ilz)
+            comp[u] = complexity_value(rates[i], cap[u], c0, ilz)
             sum_rate += rates[i]
         else:
             comp[u] = 0.0
-    return sum_rate, _seq_sum(comp, n)
+    return sum_rate, seq_sum(comp, n)
 
 
-def _swf_trial(sinr, cap, thresholds, rates, c0, ilz, budget, drop_prep, idx, comp):
+def swf_trial(sinr, cap, thresholds, rates, c0, ilz, budget, drop_prep, idx, comp):
     """Water-level-guided MCS reduction with a final re-add pass.
 
     Starts every user at its max feasible entry, repeatedly steps down the
@@ -127,11 +114,11 @@ def _swf_trial(sinr, cap, thresholds, rates, c0, ilz, budget, drop_prep, idx, co
     mf = np.empty(n, np.int64)
     init_c = np.empty(n, np.float64)
     for u in range(n):
-        i = _max_feasible_idx(thresholds, sinr[u])
+        i = max_feasible_idx(thresholds, sinr[u])
         mf[u] = i
         idx[u] = i
         if i >= 0:
-            comp[u] = _complexity_value(rates[i], cap[u], c0, ilz)
+            comp[u] = complexity_value(rates[i], cap[u], c0, ilz)
         else:
             comp[u] = 0.0
         init_c[u] = comp[u]
@@ -140,20 +127,20 @@ def _swf_trial(sinr, cap, thresholds, rates, c0, ilz, budget, drop_prep, idx, co
         for u in range(n):
             i = idx[u]
             if i >= 0:
-                wl, beta = _water_level_and_beta(
+                wl, beta = water_level_and_beta(
                     rates[i], cap[u], c0, ilz, comp[u]
                 )
                 if wl >= beta:
                     idx[u] = -1
                     comp[u] = 0.0
 
-    while _seq_sum(comp, n) > budget:
+    while seq_sum(comp, n) > budget:
         best = -1
         best_wl = -math.inf
         for u in range(n):
             i = idx[u]
             if i >= 0:
-                wl, _b = _water_level_and_beta(
+                wl, _b = water_level_and_beta(
                     rates[i], cap[u], c0, ilz, comp[u]
                 )
                 if wl > best_wl:
@@ -164,7 +151,7 @@ def _swf_trial(sinr, cap, thresholds, rates, c0, ilz, budget, drop_prep, idx, co
         i = idx[best] - 1
         idx[best] = i
         if i >= 0:
-            comp[best] = _complexity_value(rates[i], cap[best], c0, ilz)
+            comp[best] = complexity_value(rates[i], cap[best], c0, ilz)
         else:
             comp[best] = 0.0
 
@@ -172,7 +159,7 @@ def _swf_trial(sinr, cap, thresholds, rates, c0, ilz, budget, drop_prep, idx, co
     cand_wl = np.empty(n, np.float64)
     for u in range(n):
         if idx[u] < 0 and mf[u] >= 0:
-            cand_wl[u], _b = _water_level_and_beta(
+            cand_wl[u], _b = water_level_and_beta(
                 rates[mf[u]], cap[u], c0, ilz, init_c[u]
             )
         else:
@@ -187,7 +174,7 @@ def _swf_trial(sinr, cap, thresholds, rates, c0, ilz, budget, drop_prep, idx, co
         if best < 0 or best_wl == -math.inf:
             break
         cand_wl[best] = -math.inf
-        if _seq_sum(comp, n) + init_c[best] <= budget:
+        if seq_sum(comp, n) + init_c[best] <= budget:
             idx[best] = mf[best]
             comp[best] = init_c[best]
 
@@ -195,21 +182,21 @@ def _swf_trial(sinr, cap, thresholds, rates, c0, ilz, budget, drop_prep, idx, co
     for u in range(n):
         if idx[u] >= 0:
             sum_rate += rates[idx[u]]
-    return sum_rate, _seq_sum(comp, n)
+    return sum_rate, seq_sum(comp, n)
 
 
-def _scc_trial(sinr, cap, thresholds, rates, c0, ilz, budget, idx, comp):
+def scc_trial(sinr, cap, thresholds, rates, c0, ilz, budget, idx, comp):
     """Cost-greedy MCS reduction: step down the most expensive user."""
     n = sinr.shape[0]
     for u in range(n):
-        i = _max_feasible_idx(thresholds, sinr[u])
+        i = max_feasible_idx(thresholds, sinr[u])
         idx[u] = i
         if i >= 0:
-            comp[u] = _complexity_value(rates[i], cap[u], c0, ilz)
+            comp[u] = complexity_value(rates[i], cap[u], c0, ilz)
         else:
             comp[u] = 0.0
 
-    while _seq_sum(comp, n) > budget:
+    while seq_sum(comp, n) > budget:
         best = -1
         best_c = 0.0
         for u in range(n):
@@ -221,7 +208,7 @@ def _scc_trial(sinr, cap, thresholds, rates, c0, ilz, budget, idx, comp):
         i = idx[best] - 1
         idx[best] = i
         if i >= 0:
-            comp[best] = _complexity_value(rates[i], cap[best], c0, ilz)
+            comp[best] = complexity_value(rates[i], cap[best], c0, ilz)
         else:
             comp[best] = 0.0
 
@@ -229,30 +216,30 @@ def _scc_trial(sinr, cap, thresholds, rates, c0, ilz, budget, idx, comp):
     for u in range(n):
         if idx[u] >= 0:
             sum_rate += rates[idx[u]]
-    return sum_rate, _seq_sum(comp, n)
+    return sum_rate, seq_sum(comp, n)
 
 
-# scheduler kernel ids, dispatched by _schedule
+# scheduler kernel ids, dispatched by schedule
 MRS, SWF, SCC = 0, 1, 2
 
 
-def _schedule(kind, sinr, cap, thresholds, rates, c0, ilz, budget, idx, comp):
+def schedule(kind, sinr, cap, thresholds, rates, c0, ilz, budget, idx, comp):
     """Run scheduler ``kind`` (MRS, SWF or SCC) on one trial's active users;
     returns ``(sum_rate, sum_complexity)``.  MRS ignores the budget."""
     if kind == MRS:
-        return _mrs_trial(sinr, cap, thresholds, rates, c0, ilz, idx, comp)
+        return mrs_trial(sinr, cap, thresholds, rates, c0, ilz, idx, comp)
     if kind == SWF:
-        return _swf_trial(
+        return swf_trial(
             sinr, cap, thresholds, rates, c0, ilz, budget, False, idx, comp
         )
     if kind == SCC:
-        return _scc_trial(
+        return scc_trial(
             sinr, cap, thresholds, rates, c0, ilz, budget, idx, comp
         )
     raise ValueError("unknown scheduler kernel id")
 
 
-def _draw_arrays(
+def draw_arrays(
     u_occ, u_pos, u_fade, p_occ, pool_xy, pool_off, bs_xy, dmin, nc,
     occ, pos, d_serv, cross_d, fading,
 ):
@@ -305,7 +292,7 @@ def _draw_arrays(
     return n_active
 
 
-def _sinr_trial(occ, d_serv, cross_d, fading, p0, noise, apl, s, nc, sinr):
+def sinr_trial(occ, d_serv, cross_d, fading, p0, noise, apl, s, nc, sinr):
     """Uplink SINR per occupied scheduled cell: fractionally power-controlled
     signal over noise plus interference from every other occupied cell."""
     n_inst = occ.shape[0]
@@ -355,12 +342,12 @@ def _run_chunk(
     comp = np.empty(nc, np.float64)
 
     for t in range(rows):
-        out_n_active[t] = _draw_arrays(
+        out_n_active[t] = draw_arrays(
             u_occ[t], u_pos[t], u_fade[t],
             p_occ, pool_xy, pool_off, bs_xy, dmin, nc,
             occ, pos, d_serv, cross_d, fading,
         )
-        _sinr_trial(occ, d_serv, cross_d, fading, p0, noise, apl, s, nc, sinr)
+        sinr_trial(occ, d_serv, cross_d, fading, p0, noise, apl, s, nc, sinr)
         na = 0
         for k in range(nc):
             if occ[k]:
@@ -370,58 +357,15 @@ def _run_chunk(
         a_sinr = act_sinr[:na]
         a_cap = act_cap[:na]
         for j in range(kinds.shape[0]):
-            out[t, j, 0], out[t, j, 1] = _schedule(
+            out[t, j, 0], out[t, j, 1] = schedule(
                 kinds[j], a_sinr, a_cap, thresholds, rates, c0, ilz, budget,
                 idx, comp,
             )
 
 
-# ----------------------------------------------------------------------
-# implementation selection
-# ----------------------------------------------------------------------
-# The whole family is rebound to compiled versions in dependency order, so
-# by the time a caller triggers the first (lazy) compilation every global a
-# kernel refers to is already a compiled dispatcher.  One mode per process:
-# flip CRAN_SCHED_NUMBA=0 to run the same sources interpreted, and campaigns
-# on the batched NumPy run_chunk.
-
-NUMBA_ENABLED = False
-if os.environ.get("CRAN_SCHED_NUMBA") != "0":
-    try:
-        from numba import njit
-    except ImportError:  # numba absent: fall back to the interpreted kernels
-        njit = None
-    if njit is not None:
-        _jit = njit(cache=True)
-        _seq_sum = _jit(_seq_sum)
-        _max_feasible_idx = _jit(_max_feasible_idx)
-        _complexity_value = _jit(_complexity_value)
-        _tangent = _jit(_tangent)
-        _water_level_and_beta = _jit(_water_level_and_beta)
-        _mrs_trial = _jit(_mrs_trial)
-        _swf_trial = _jit(_swf_trial)
-        _scc_trial = _jit(_scc_trial)
-        _schedule = _jit(_schedule)
-        _draw_arrays = _jit(_draw_arrays)
-        _sinr_trial = _jit(_sinr_trial)
-        _run_chunk = _jit(_run_chunk)
-        NUMBA_ENABLED = True
-
+BACKEND = "numpy"
 # the campaign's chunk loop; batch imports the kernel ids defined above
-BACKEND = "numba" if NUMBA_ENABLED else "numpy"
-if NUMBA_ENABLED:
-    run_chunk = _run_chunk
-else:
-    from .batch import run_chunk  # noqa: E402
+from .batch import run_chunk  # noqa: E402
 
-seq_sum = _seq_sum
-max_feasible_idx = _max_feasible_idx
-complexity_value = _complexity_value
-tangent = _tangent
-water_level_and_beta = _water_level_and_beta
-mrs_trial = _mrs_trial
-swf_trial = _swf_trial
-scc_trial = _scc_trial
-schedule = _schedule
-draw_arrays = _draw_arrays
-sinr_trial = _sinr_trial
+# read by the campaign benchmark's run report; leaves with ROADMAP item 3
+NUMBA_ENABLED = False

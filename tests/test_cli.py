@@ -1,11 +1,13 @@
 """Config parsing and command-line workflow tests."""
 
 import dataclasses
+import gc
 import json
 import os
 import re
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -13,6 +15,7 @@ from cran_sched import (
     CampaignConfig,
     ModelParams,
     PhyParams,
+    harness,
     kernels,
     load_layout,
 )
@@ -262,7 +265,6 @@ def test_main_reports_a_dead_worker(tmp_path, capsys, monkeypatch):
 
 def test_the_process_pool_is_imported_only_with_workers():
     # a single-worker run does not pay for importing the pool machinery
-    # (numba is kept out: it may import multiprocessing itself)
     code = (
         "import sys, cran_sched.cli; "
         "print(sorted(m for m in ('multiprocessing', "
@@ -270,32 +272,10 @@ def test_the_process_pool_is_imported_only_with_workers():
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
-        env=dict(os.environ, CRAN_SCHED_NUMBA="0"), timeout=120,
+        timeout=120,
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
-
-
-def test_main_warns_when_numba_is_requested_but_absent(
-    tmp_path, caplog, monkeypatch
-):
-    cfg = write_cfg(tmp_path, SMALL)
-    monkeypatch.setattr(kernels, "NUMBA_ENABLED", False)
-    monkeypatch.setattr(kernels, "BACKEND", "numpy")
-    # unset, numba is optional: its absence is no warning
-    for flag, warned in (("1", True), ("0", False), (None, False)):
-        if flag is None:
-            monkeypatch.delenv("CRAN_SCHED_NUMBA", raising=False)
-        else:
-            monkeypatch.setenv("CRAN_SCHED_NUMBA", flag)
-        caplog.clear()
-        out = tmp_path / f"lay{flag}"
-        assert main(["layout-gen", "--config", cfg, "--out", str(out)]) == 0
-        hits = [r for r in caplog.records if "numba" in r.getMessage()]
-        assert len(hits) == int(warned), flag
-        assert all("running the NumPy kernels" in r.getMessage() for r in hits)
-        doc = json.loads((out / "manifest.json").read_text())
-        assert doc["backend"] == "numpy"
 
 
 def test_layout_gen_writes_loadable_layout(tmp_path, capsys):
@@ -356,7 +336,7 @@ def test_run_writes_all_artifacts(tmp_path, capsys):
     doc = json.loads((out / "manifest.json").read_text())
     assert doc["command"] == "run"
     assert doc["c_server"] > 0.0
-    assert doc["backend"] == ("numba" if kernels.NUMBA_ENABLED else "numpy")
+    assert doc["backend"] == "numpy"
 
 
 def test_run_is_reproducible_byte_for_byte(tmp_path):
@@ -444,6 +424,42 @@ def test_sweep_lambda_command(tmp_path):
     assert len(budgets) == 1
     assert (out / "lambda_0.5" / "summary.csv").exists()
     assert (out / "lambda_1.0" / "summary.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, extra, dirs",
+    [
+        ("sweep-nc", "nc_values = 1,2,3\n", ["nc_01", "nc_02", "nc_03"]),
+        (
+            "sweep-lambda", "lambda_values = 0.5,1.0,2.0\n",
+            ["lambda_0.5", "lambda_1.0", "lambda_2.0"],
+        ),
+    ],
+    ids=["sweep-nc", "sweep-lambda"],
+)
+def test_sweeps_write_and_drop_each_point_before_the_next(
+    command, extra, dirs, tmp_path, monkeypatch
+):
+    # a sweep's memory is one point's: when a campaign starts, every earlier
+    # point's files are written and its result is garbage
+    cfg = write_cfg(tmp_path, SMALL + extra)
+    out = tmp_path / "out"
+    real_run = harness.run_campaign
+    results, seen = [], []
+
+    def tracked_run(*args, **kwargs):
+        gc.collect()
+        seen.append((
+            [ref() is None for ref in results],
+            sorted(d for d in dirs if (out / d / "summary.csv").exists()),
+        ))
+        result = real_run(*args, **kwargs)
+        results.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(harness, "run_campaign", tracked_run)
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    assert seen == [([True] * k, dirs[:k]) for k in range(len(dirs))]
 
 
 @pytest.mark.parametrize(

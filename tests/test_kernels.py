@@ -1,9 +1,8 @@
-"""The campaign's kernel implementations must be interchangeable.
+"""The campaign's batched kernels must write the scalar kernels' bits.
 
-``kernels.run_chunk`` is the numba-compiled scalar loop when numba is
-enabled, and otherwise the trial-batched NumPy ``batch.run_chunk``.  Both must
-produce the bits of the scalar kernels run interpreted
-(``kernels._run_chunk``):
+``kernels.run_chunk`` is the trial-batched NumPy ``batch.run_chunk``.  It
+must produce the bits of the scalar chunk loop (``kernels._run_chunk``),
+which is the reference it is compared against:
 
 * the batched path is compared with the scalar loop, exactly, on chunks of
   the benchmark workloads and on edge cases, run a block at a time with the
@@ -13,11 +12,7 @@ produce the bits of the scalar kernels run interpreted
 * the campaign's per-block uniform draws are the one-shot draw of a chunk;
 * ``batch._libm``, which runs libm in NumPy's scalar loop, must give the
   bits of one CPython call per element (``batch._map``) wherever its probe
-  passes, and fall back to it, errors included, outside its domain;
-* a full campaign under numba must match one with ``CRAN_SCHED_NUMBA=0``.
-  Each runs in its own subprocess because the selection happens at import
-  time.  That comparison needs numba; where it does not import, the test is
-  reported as skipped.
+  passes, and fall back to it, errors included, outside its domain.
 """
 
 import dataclasses
@@ -50,97 +45,32 @@ BENCH_CONFIGS = os.path.join(
 )
 ALL_KINDS = [kernels.MRS, kernels.SWF, kernels.SCC]
 
-DIGEST_SCRIPT = r"""
-import hashlib
-import numpy as np
-import cran_sched as cs
-from cran_sched import kernels
-
-params = cs.ModelParams()
-phy = cs.PhyParams()
-table = cs.default_table(params)
-layout = cs.generate_layout(
-    "uniform-random", 12, cs.Arena(0.0, 0.0, 8.0, 8.0), 3, seed=7
+PUBLIC_KERNELS = (
+    "draw_arrays", "sinr_trial", "mrs_trial", "swf_trial", "scc_trial",
+    "schedule", "seq_sum", "max_feasible_idx", "complexity_value", "tangent",
+    "water_level_and_beta",
 )
-cfg = cs.CampaignConfig(
-    layout=layout, table=table, model=params, phy=phy,
-    n_trials=3000, epsilon=0.1, calibration_trials=1000,
-    seed=7, area_samples=10000,
-)
-res = cs.run_campaign(cfg)
-h = hashlib.sha256()
-h.update(np.ascontiguousarray(res.n_active).tobytes())
-for name in res.schedulers:
-    s = res.series[name]
-    for arr in (s.sum_rate, s.sum_complexity, s.outage):
-        h.update(np.ascontiguousarray(arr).tobytes())
-h.update(repr(res.c_server).encode())
-print(int(kernels.NUMBA_ENABLED), h.hexdigest())
-"""
-
-
-def run_digest(numba_flag: str) -> tuple[bool, str]:
-    env = dict(os.environ, CRAN_SCHED_NUMBA=numba_flag)
-    out = subprocess.run(
-        [sys.executable, "-c", DIGEST_SCRIPT],
-        env=env, capture_output=True, text=True, timeout=600,
-    )
-    assert out.returncode == 0, out.stderr
-    enabled, digest = out.stdout.split()
-    return bool(int(enabled)), digest
-
-
-def test_both_paths_produce_identical_campaigns():
-    pytest.importorskip("numba")
-    py_enabled, py_digest = run_digest("0")
-    nb_enabled, nb_digest = run_digest("1")
-    assert py_enabled is False
-    assert nb_enabled is True, (
-        "numba imports, but CRAN_SCHED_NUMBA=1 did not select the compiled "
-        "kernels"
-    )
-    assert py_digest == nb_digest
 
 
 def test_kernel_module_exposes_selection_flag():
-    assert isinstance(kernels.NUMBA_ENABLED, bool)
-    assert kernels.BACKEND == ("numba" if kernels.NUMBA_ENABLED else "numpy")
-    if not kernels.NUMBA_ENABLED:
-        assert kernels.run_chunk is batch.run_chunk
-    for name in (
-        "seq_sum", "max_feasible_idx", "complexity_value",
-        "water_level_and_beta", "mrs_trial", "swf_trial", "scc_trial",
-        "schedule", "draw_arrays", "sinr_trial", "run_chunk",
-    ):
-        assert callable(getattr(kernels, name))
+    assert kernels.run_chunk is batch.run_chunk
+    assert kernels.BACKEND == "numpy"
+    assert kernels.NUMBA_ENABLED is False
+    for name in PUBLIC_KERNELS:
+        assert callable(getattr(kernels, name)), name
 
 
-@pytest.mark.parametrize(
-    "flag, tried", [(None, True), ("1", True), ("0", False)]
-)
-def test_numba_import_is_tried_unless_disabled(tmp_path, flag, tried):
-    # a stand-in numba that reports the import attempt and then fails it
-    (tmp_path / "numba.py").write_text(
-        "print('tried')\nraise ImportError('stand-in')\n"
-    )
+def test_importing_the_package_does_not_try_numba(tmp_path):
+    # a stand-in numba that reports any import attempt
+    (tmp_path / "numba.py").write_text("print('tried')\n")
     src = os.path.dirname(os.path.dirname(inspect.getfile(kernels)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), src]))
-    env.pop("CRAN_SCHED_NUMBA", None)
-    if flag is not None:
-        env["CRAN_SCHED_NUMBA"] = flag
-    code = (
-        "from cran_sched import kernels; "
-        "print(kernels.NUMBA_ENABLED, kernels.numba_requested())"
-    )
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        timeout=120,
+        [sys.executable, "-c", "import cran_sched.cli"], env=env,
+        capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    want = ["tried"] if tried else []
-    assert out.stdout.split("\n")[:-1] == [
-        *want, f"False {flag not in (None, '0')}"
-    ]
+    assert out.stdout == ""
 
 
 # ---------------------------------------------- batched path == scalar path
@@ -305,13 +235,13 @@ def scalar_sinr(config, cells, row):
     cross_d = np.empty((n_inst, nc))
     fading = np.empty((n_inst, nc))
     sinr = np.empty(nc)
-    kernels._draw_arrays(
+    kernels.draw_arrays(
         row[:n_inst], row[n_inst: 2 * n_inst], row[2 * n_inst:],
         cells.p_occ, cells.pool_xy, cells.pool_off, cells.bs_xy,
         harness.MIN_DISTANCE_KM, nc, occ, pos, d_serv, cross_d, fading,
     )
     phy = config.phy
-    kernels._sinr_trial(
+    kernels.sinr_trial(
         occ, d_serv, cross_d, fading, phy.p0, phy.noise_w,
         phy.pathloss_exponent, phy.s, nc, sinr,
     )
@@ -404,7 +334,7 @@ def test_uniform_blocks_equal_the_one_shot_draw():
 
 
 def scalar_terms(cells, phy):
-    """Each pool point's power terms as ``kernels._sinr_trial`` computes
+    """Each pool point's power terms as ``kernels.sinr_trial`` computes
     them, one ``pow`` call each, with ``0.0`` for the unused ones: the
     point's loss to its own cell and a background point's signal term."""
     apl, s, dmin = phy.pathloss_exponent, phy.s, harness.MIN_DISTANCE_KM
