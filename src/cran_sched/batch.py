@@ -1,14 +1,18 @@
-"""Trial-batched NumPy ``run_chunk``: the campaign's chunk kernel.
+"""The trial-batched kernels: channel draw, SINR and the three schedulers.
 
-:func:`run_chunk` takes the arguments of ``kernels._run_chunk`` and writes
-the same outputs, bit for bit, but works on a block of trials at once
-instead of one trial at a time.  ``harness`` owns the block loop: it draws a
-chunk's uniforms one block at a time and calls :func:`run_chunk` once per
-block.  Inactive users stay in place as padding (no ladder entry, cost
-``0.0``), so every array is (rows x cells) and a trial's users keep the
-scalar kernels' order.
+This is the one implementation of the per-trial algorithms.  Its functions
+work on a block of trials, one row per trial and any number of rows:
+:func:`run_chunk` runs a block of a campaign chunk, and the public per-trial
+kernels of :mod:`.kernels` run the same functions on one row.  ``harness``
+owns the block loop: it draws a chunk's uniforms one block at a time and
+calls :func:`run_chunk` once per block.  Inactive users stay in place as
+padding (no ladder entry, cost ``0.0``), so every array is (rows x cells)
+and a trial's users keep their cell order.  The scheduler kernel ids are
+dispatched in one place, :func:`allocate`.
 
-Bit-identity with the scalar kernels rests on five rules:
+The kernels write the bits of the scalar loops they replaced, which
+``tests/scalar_kernels.py`` keeps as the independent reference, by five
+rules:
 
 * NumPy does only ``+ - * /``, comparisons and ``sqrt``, which are correctly
   rounded on every SIMD path.
@@ -24,9 +28,10 @@ Bit-identity with the scalar kernels rests on five rules:
 * Every sum is an explicit left-to-right loop over the columns
   (:func:`_seq_sum`), never a NumPy reduction, which sums pairwise.  The
   ``0.0`` padding leaves such sums unchanged.
-* The max-feasible entry is ``searchsorted(thresholds, sinr, "right") - 1``,
-  the scalar binary search's answer.  Ties in the greedy choices go to the
-  first user, as ``np.argmax`` and a stable sort pick them.
+* The max-feasible entry is ``searchsorted(thresholds, sinr, "right") - 1``
+  (:func:`max_feasible`), the scalar binary search's answer.  Ties in the
+  greedy choices go to the first user, as ``np.argmax`` and a stable sort
+  pick them.
 * The power terms that depend only on a user's position are computed once
   per pool point and cell set, into a table (:func:`position_terms`), and
   read back by index.  A libm call gives the same double for the same
@@ -35,15 +40,17 @@ Bit-identity with the scalar kernels rests on five rules:
   ``0.0`` in the table and the fading gain of an unoccupied pair is ``0.0``,
   so the pairs the scalar loop skips add ``0.0`` to its sums.
 
-The per-element libm calls dominate the cost, so they are made only where
-the scalar kernels use their results: the fading gains of occupied cells
-and the capacities of active users.  Only the rows whose max-rate cost
-exceeds the budget run the greedy kernels; every other row keeps the
-max-rate allocation, which is what both return there.  The greedy step-down
-loops only over the rows still over budget and recomputes only the user
-that stepped, reusing the ``log2(cap - rate)`` of its cost for its water
-level; swf caches each user's water level, and its re-add pass visits the
-dropped users in a stable descending order of their initial level.
+The cost, tangent and water-level formulas are :mod:`.complexity`'s, which
+work on arrays as on floats.  The per-element libm calls dominate the cost,
+so they are made only where their results are used: the fading gains of
+occupied cells and the capacities of active users.  Only the rows whose
+max-rate cost exceeds the budget run the greedy kernels; every other row
+keeps the max-rate allocation, which is what both return there.  The
+greedy step-down loops only over the rows still over budget and recomputes
+only the user that stepped, reusing the ``log2(cap - rate)`` of its cost
+for its water level; swf caches each user's water level, and its re-add
+pass visits the dropped users in a stable descending order of their
+initial level.
 """
 
 from __future__ import annotations
@@ -54,9 +61,12 @@ from itertools import repeat
 
 import numpy as np
 
-from .kernels import _LN2, MRS, SCC, SWF
+from .complexity import cost, tangent, water_level
 
 log = logging.getLogger(__name__)
+
+# scheduler kernel ids, dispatched by allocate
+MRS, SWF, SCC = 0, 1, 2
 
 # position-term columns: d_serv**(s*apl), d_serv**((s-1)*apl), then
 # cross**(-apl) to the BS of each scheduled cell
@@ -173,89 +183,125 @@ def _distance(dx, dy, dmin):
     return np.maximum(np.sqrt(dx * dx + dy * dy), dmin)
 
 
+def _power_terms(rows, owner, d_serv, cross, nc, apl, s):
+    """Fill ``rows`` with the position terms (see the column names above)
+    of users in cells ``owner`` at serving distances ``d_serv`` and
+    distances ``cross`` to the scheduled cells' BSs.  The loss of a
+    scheduled cell's user to its own cell is set to ``0.0``; the signal term
+    of a background cell's user is left as it was."""
+    rows[:, _TX] = _each(pow, d_serv, s * apl)
+    own = np.flatnonzero(owner < nc)
+    rows[own, _SIG] = _each(pow, d_serv[own], (s - 1.0) * apl)
+    rows[:, _LOSS:] = _each(pow, cross.ravel(), -apl).reshape(cross.shape)
+    rows[own, _LOSS + owner[own]] = 0.0
+
+
 def position_terms(pool_xy, pool_off, bs_xy, dmin, nc, apl, s):
-    """One row per pool point of the power terms ``kernels.sinr_trial``
-    computes for a user there (see the column names above).  A point's loss
-    to its own cell and, in a background cell, its signal term are never
-    used and are ``0.0``."""
+    """One row per pool point of the power terms a user there contributes
+    to the SINR (see the column names above).  A point's loss to its own
+    cell and, in a background cell, its signal term are never used and are
+    ``0.0``."""
     n_points = pool_xy.shape[0]
     owners = np.repeat(np.arange(pool_off.size - 1), np.diff(pool_off))
     terms = np.zeros((n_points, _LOSS + nc))
     step = max(1, TERMS_ELEMENTS // nc)
     for a in range(0, n_points, step):
-        owner, rows = owners[a: a + step], terms[a: a + step]
+        owner = owners[a: a + step]
         px, py = pool_xy[a: a + step, 0], pool_xy[a: a + step, 1]
         d_serv = _distance(px - bs_xy[owner, 0], py - bs_xy[owner, 1], dmin)
-        rows[:, _TX] = _each(pow, d_serv, s * apl)
-        own = np.flatnonzero(owner < nc)
-        rows[own, _SIG] = _each(pow, d_serv[own], (s - 1.0) * apl)
         cross = _distance(
             px[:, None] - bs_xy[:nc, 0], py[:, None] - bs_xy[:nc, 1], dmin
         )
-        rows[:, _LOSS:] = _each(pow, cross.ravel(), -apl).reshape(cross.shape)
-        rows[own, _LOSS + owner[own]] = 0.0
+        _power_terms(terms[a: a + step], owner, d_serv, cross, nc, apl, s)
     return terms
 
 
-def _channel(u_occ, u_pos, u_fade, p_occ, pool_off, nc, p0, noise, terms):
-    """Occupancy (rows x n_inst) and SINR (rows x nc) of a block of trials,
-    as ``kernels.draw_arrays`` and ``kernels.sinr_trial`` compute them,
-    from the :func:`position_terms` table ``terms``.  The SINR of an
-    unoccupied cell is left unspecified."""
-    rows, n_inst = u_occ.shape
-    occ = u_occ < p_occ
-    occ_k = occ[:, :nc]
-
-    npts = pool_off[1: n_inst + 1] - pool_off[:n_inst]
+def pool_index(u_pos, pool_off):
+    """The pool point drawn for each instantiated cell (the last axis of
+    the position uniforms ``u_pos``), as an index into the stacked pools."""
+    n_inst = u_pos.shape[-1]
+    start = pool_off[:n_inst]
+    npts = pool_off[1: n_inst + 1] - start
     j = (u_pos * npts).astype(np.int64)
     np.minimum(j, npts - 1, out=j)
-    at = terms.take(pool_off[:n_inst] + j, axis=0)
+    return start + j
 
-    # fading gains where user i and cell k are both occupied, else 0.0
-    pair = occ[:, :, None] & occ_k[:, None, :]
-    fading = np.zeros((rows, n_inst, nc))
-    f = -_each(math.log1p, -u_fade.reshape(rows, n_inst, nc)[pair])
+
+def fading_gains(u_fade, pair):
+    """Unit-mean exponential gains ``-log1p(-u)`` of the fading uniforms
+    where the boolean array ``pair`` is true, ``0.0`` elsewhere, in
+    ``pair``'s shape.  A uniform of exactly ``0.0`` would give a zero gain;
+    the gains are floored at 1e-300, strictly positive as the fading model
+    promises."""
+    fading = np.zeros(pair.shape)
+    f = -_each(math.log1p, -u_fade.reshape(pair.shape)[pair])
     fading[pair] = np.where(f > 0.0, f, 1e-300)
+    return fading
 
-    # interference from occupied user i at occupied cell k != i; the other
-    # pairs add 0.0 through a zero gain or the zero own-cell loss
+
+def sinr_from_terms(at, fading, p0, noise):
+    """SINR (rows x nc) at each scheduled cell from the position terms
+    ``at`` (rows x n_inst x columns) of each instantiated cell's user and
+    the fading gains (rows x n_inst x nc), which are ``0.0`` on the pairs
+    that are not both occupied: fractionally power-controlled signal over
+    noise plus the interference of every other occupied cell.  The zero
+    gains and the zero own-cell loss make the other pairs add ``0.0``."""
+    rows, n_inst, nc = fading.shape
     term = (p0 * at[:, :, _TX])[:, :, None] * fading * at[:, :, _LOSS:]
     den = np.full((rows, nc), noise)
     for i in range(n_inst):
         den += term[:, i, :]
-
     diag = np.arange(nc)
     num = p0 * fading[:, diag, diag] * at[:, :nc, _SIG]
-    return occ, num / den
+    return num / den
+
+
+def _channel(u_occ, u_pos, u_fade, p_occ, pool_off, nc, p0, noise, terms):
+    """Occupancy (rows x n_inst) and SINR (rows x nc) of a block of trials
+    from the :func:`position_terms` table ``terms``.  The SINR of an
+    unoccupied cell is left unspecified."""
+    occ = u_occ < p_occ
+    at = terms.take(pool_index(u_pos, pool_off), axis=0)
+    fading = fading_gains(u_fade, occ[:, :, None] & occ[:, None, :nc])
+    return occ, sinr_from_terms(at, fading, p0, noise)
+
+
+def max_feasible(thresholds, sinr):
+    """Highest ladder entry whose threshold ``sinr`` meets (inclusive), or
+    ``-1``, for an SINR array of any shape or a float; a NaN SINR meets
+    none."""
+    return np.where(
+        sinr >= thresholds[0],
+        np.searchsorted(thresholds, sinr, "right") - 1, -1,
+    )
 
 
 def _costs(idx, cap, rates, c0, ilz):
-    """``kernels.complexity_value`` at ladder entries ``idx`` (any shape),
-    ``0.0`` where ``idx < 0``, and the ``log2(cap - rate)`` it takes there,
-    which :func:`_levels` reuses."""
+    """The decoding cost at ladder entries ``idx`` (any shape), ``0.0``
+    where ``idx < 0``, and the ``log2(cap - rate)`` it takes there, which
+    :func:`_levels` reuses."""
     comp = np.zeros(idx.shape)
     lg = np.zeros(idx.shape)
     sel = idx >= 0
     rate = rates[idx[sel]]
     lg[sel] = _each(math.log2, cap[sel] - rate)
-    raw = rate * ilz * (c0 - 2.0 * lg[sel])
-    comp[sel] = np.where((rate > 0.0) & (raw > 0.0), raw, 0.0)
+    comp[sel] = cost(rate, lg[sel], c0, ilz)
     return comp, lg
 
 
 def _levels(idx, cap, comp, lg, rates, c0, ilz):
-    """The water level of ``kernels.water_level_and_beta`` at ladder entries
-    ``idx`` (any shape), given their :func:`_costs`; ``-inf`` where
-    ``idx < 0``."""
+    """The water level at ladder entries ``idx`` (any shape), given their
+    :func:`_costs`; ``-inf`` where ``idx < 0``."""
     wl = np.full(idx.shape, -np.inf)
     sel = idx >= 0
-    rate = rates[idx[sel]]
-    a = -1.0 / (_LN2 * (cap[sel] - rate))
-    b = lg[sel] - a * rate
-    alpha = -2.0 * a * ilz
-    beta = (c0 - 2.0 * b) * ilz
-    wl[sel] = np.sqrt(4.0 * alpha * comp[sel] + beta * beta)
+    _a, _b, alpha, beta = tangent(rates[idx[sel]], cap[sel], lg[sel], c0, ilz)
+    wl[sel] = water_level(alpha, beta, comp[sel])
     return wl
+
+
+def _totals(idx, comp, rates):
+    """Each row's ``(sum_rate, sum_complexity)``, summed left to right."""
+    return _seq_sum(np.where(idx >= 0, rates[idx], 0.0)), _seq_sum(comp)
 
 
 def _step_down(idx, comp, rows, best, cap, rates, c0, ilz):
@@ -268,7 +314,10 @@ def _step_down(idx, comp, rows, best, cap, rates, c0, ilz):
 
 
 def _swf(mf, cap, init_c, wl0, rates, c0, ilz, budget):
-    """``kernels.swf_trial`` (without its pre-pass) over a block."""
+    """Water-level-guided reduction with a final re-add pass: while a row
+    is over budget, step down the user whose operating point demands the
+    highest water level; then restore dropped users at their max feasible
+    entry, highest initial level first, wherever the budget allows."""
     idx, comp, wl = mf.copy(), init_c.copy(), wl0.copy()
     rows = np.flatnonzero(_seq_sum(comp) > budget)
     while rows.size:
@@ -297,7 +346,8 @@ def _swf(mf, cap, init_c, wl0, rates, c0, ilz, budget):
 
 
 def _scc(mf, cap, init_c, rates, c0, ilz, budget):
-    """``kernels.scc_trial`` over a block."""
+    """Cost-greedy reduction: while a row is over budget, step down its
+    most expensive user."""
     idx, comp = mf.copy(), init_c.copy()
     rows = np.flatnonzero(_seq_sum(comp) > budget)
     while rows.size:
@@ -309,44 +359,51 @@ def _scc(mf, cap, init_c, rates, c0, ilz, budget):
     return idx, comp
 
 
+def allocate(kind, mf, cap, init_c, lg, rates, c0, ilz, budget):
+    """``(idx, comp)``: the ladder entry (``-1``: not served) and cost that
+    scheduler ``kind`` (MRS, SWF or SCC) gives each user of a block, from
+    the users' max-feasible entries ``mf``, capacities and the
+    :func:`_costs` ``(init_c, lg)`` there.  MRS ignores the budget and
+    returns ``mf`` and ``init_c`` themselves."""
+    if kind == MRS:
+        return mf, init_c
+    if kind == SWF:
+        wl0 = _levels(mf, cap, init_c, lg, rates, c0, ilz)
+        return _swf(mf, cap, init_c, wl0, rates, c0, ilz, budget)
+    if kind == SCC:
+        return _scc(mf, cap, init_c, rates, c0, ilz, budget)
+    raise ValueError("unknown scheduler kernel id")
+
+
 def _schedule(act, sinr, thresholds, rates, c0, ilz, budget, kinds, out):
     """Run scheduler ``kinds[j]`` on every trial of a block and write
     ``out[t, j] = (sum_rate, sum_complexity)``."""
-    mf = np.where(act, np.searchsorted(thresholds, sinr, "right") - 1, -1)
+    mf = np.where(act, max_feasible(thresholds, sinr), -1)
     cap = np.zeros(act.shape)
     cap[act] = _each(math.log2, 1.0 + sinr[act])
     init_c, lg = _costs(mf, cap, rates, c0, ilz)
-    out[:, :, 0] = _seq_sum(np.where(mf >= 0, rates[mf], 0.0))[:, None]
-    out[:, :, 1] = _seq_sum(init_c)[:, None]
+    sum_rate, sum_comp = _totals(mf, init_c, rates)
+    out[:, :, 0] = sum_rate[:, None]
+    out[:, :, 1] = sum_comp[:, None]
     # the greedy kernels step down only the rows over budget, and return
     # max-rate's allocation on every other row
-    bound = np.flatnonzero(out[:, 0, 1] > budget)
-    mf, cap, init_c, lg = mf[bound], cap[bound], init_c[bound], lg[bound]
+    bound = np.flatnonzero(sum_comp > budget)
+    block = mf[bound], cap[bound], init_c[bound], lg[bound]
     for j, kind in enumerate(kinds):
-        if kind == MRS:
-            continue
-        if kind == SWF:
-            wl0 = _levels(mf, cap, init_c, lg, rates, c0, ilz)
-            idx, comp = _swf(mf, cap, init_c, wl0, rates, c0, ilz, budget)
-        elif kind == SCC:
-            idx, comp = _scc(mf, cap, init_c, rates, c0, ilz, budget)
-        else:
-            raise ValueError("unknown scheduler kernel id")
-        out[bound, j, 0] = _seq_sum(np.where(idx >= 0, rates[idx], 0.0))
-        out[bound, j, 1] = _seq_sum(comp)
+        idx, comp = allocate(kind, *block, rates, c0, ilz, budget)
+        out[bound, j, 0], out[bound, j, 1] = _totals(idx, comp, rates)
 
 
 def run_chunk(
-    u_occ, u_pos, u_fade,
-    p_occ, pool_xy, pool_off, bs_xy, dmin, nc,
-    thresholds, rates, c0, ilz,
-    p0, noise, apl, s, terms,
+    u_occ, u_pos, u_fade, p_occ, pool_off, nc,
+    thresholds, rates, c0, ilz, p0, noise, terms,
     budget, kinds,
     out_n_active, out,
 ):
-    """``kernels._run_chunk`` on a block of trials at once; ``terms`` is the
-    cell set's :func:`position_terms` table, which replaces the pool, the BS
-    positions and the power-law constants."""
+    """Run schedulers ``kinds`` on a block of trials, given their
+    occupancy, position and fading uniforms, and write each trial's number
+    of active users and ``out[t, j] = (sum_rate, sum_complexity)``.
+    ``terms`` is the cell set's :func:`position_terms` table."""
     occ, sinr = _channel(
         u_occ, u_pos, u_fade, p_occ, pool_off, nc, p0, noise, terms
     )

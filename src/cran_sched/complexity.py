@@ -16,8 +16,11 @@ Linearizing ``log2(gap)`` in the rate turns the cost into a quadratic
 greedy schedulers rely on.  The tangent construction makes the quadratic agree
 with the exact cost at the expansion rate, which the test suite pins to 1e-9.
 
-The formulas themselves are the scalar kernels in :mod:`.kernels`; the
-functions here check their inputs and call them.
+Each formula is written once, below, on ``lg = log2(cap - rate)``, and works
+on floats and on NumPy arrays alike: :func:`raw_cost`, :func:`cost`,
+:func:`tangent` and :func:`water_level`.  The campaign's batched kernels
+(:mod:`.batch`) call them on arrays, the functions here check their inputs
+and call them on floats.
 """
 
 from __future__ import annotations
@@ -25,10 +28,41 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import kernels
+import numpy as np
 
 # below this capacity gap (bpcu) the log blows up; callers must stay above it
 GAP_GUARD = 1e-9
+
+_LN2 = math.log(2.0)
+
+
+def raw_cost(rate, lg, c0, ilz):
+    """Unclamped decoding cost ``rate * ilz * (c0 - 2 * lg)`` of ``rate``
+    with ``lg = log2(cap - rate)``.  At ``rate = 1.0`` it is the per-bit
+    iteration count, bit for bit, since ``1.0 * ilz`` is exact."""
+    return rate * ilz * (c0 - 2.0 * lg)
+
+
+def cost(rate, lg, c0, ilz):
+    """:func:`raw_cost` clamped at zero from below."""
+    raw = raw_cost(rate, lg, c0, ilz)
+    return np.where(raw > 0.0, raw, 0.0)
+
+
+def tangent(rate, cap, lg, c0, ilz):
+    """Tangent ``a * r + b`` of ``log2(cap - r)`` at ``rate``, with
+    ``lg = log2(cap - rate)``, and the induced quadratic cost coefficients:
+    returns ``(a, b, quad_alpha, quad_beta)``."""
+    a = -1.0 / (_LN2 * (cap - rate))
+    b = lg - a * rate
+    return a, b, -2.0 * a * ilz, (c0 - 2.0 * b) * ilz
+
+
+def water_level(quad_alpha, quad_beta, comp):
+    """Water level ``sqrt(4 * quad_alpha * comp + quad_beta**2)`` at which
+    continuous water-filling spends ``comp`` on a user; NaN where the
+    radicand is negative."""
+    return np.sqrt(4.0 * quad_alpha * comp + quad_beta * quad_beta)
 
 
 class DomainError(ValueError):
@@ -65,7 +99,7 @@ class ModelParams:
         return -self.k_prime / math.log10(self.eps_channel)
 
     def kernel_constants(self) -> tuple[float, float]:
-        """Precomputed ``(c0, ilz)`` pair used by the scalar kernels.
+        """Precomputed ``(c0, ilz)`` pair used by the kernels.
 
         ``c0`` is the rate-independent bracket term
         ``log2((zeta - 2) / (k_eps * zeta))`` and ``ilz`` is
@@ -125,7 +159,8 @@ def decode_complexity(params: ModelParams, sinr: float, rate: float) -> float:
     if rate == 0.0:
         return 0.0
     cap = _guarded_capacity(sinr, rate)
-    return kernels.complexity_value(rate, cap, *params.kernel_constants())
+    c0, ilz = params.kernel_constants()
+    return float(cost(rate, math.log2(cap - rate), c0, ilz))
 
 
 def iteration_count(params: ModelParams, sinr: float, rate: float) -> float:
@@ -137,8 +172,7 @@ def iteration_count(params: ModelParams, sinr: float, rate: float) -> float:
     if rate <= 0:
         raise DomainError(f"rate must be > 0, got {rate}")
     cap = _guarded_capacity(sinr, rate)
-    c0, ilz = params.kernel_constants()
-    return ilz * (c0 - 2.0 * math.log2(cap - rate))
+    return raw_cost(1.0, math.log2(cap - rate), *params.kernel_constants())
 
 
 def linearize(
@@ -151,8 +185,9 @@ def linearize(
     quadratic equals the exact (unclamped) cost at the expansion rate.
     """
     cap = _guarded_capacity(sinr, expansion_rate)
-    a, b, quad_alpha, quad_beta = kernels.tangent(
-        expansion_rate, cap, *params.kernel_constants()
+    a, b, quad_alpha, quad_beta = tangent(
+        expansion_rate, cap, math.log2(cap - expansion_rate),
+        *params.kernel_constants(),
     )
     return LinearizationCoeffs(
         a=a,

@@ -10,8 +10,8 @@ outages and have their recorded sum-rate zeroed (the ``unconstrained``
 series is the same allocation as ``mrs`` but is never scored against the
 budget).  Which schedulers exist, which kernel computes each and how each
 is scored against the budget is the one table :data:`SCHEDULERS`: adding a
-scheduler is one entry there, plus one branch in ``kernels.schedule`` and
-one in ``batch._schedule`` if it needs a new kernel.
+scheduler is one entry there, plus one branch in ``batch.allocate`` if it
+needs a new kernel.
 
 Randomness is organized so every trial is a pure function of the master
 seed: trial ``t`` lives in chunk ``t // 4096`` and consumes one fixed-length
@@ -300,11 +300,9 @@ def _payload(
     ``kernel_args`` are the arguments of ``kernels.run_chunk`` between the
     uniforms and the outputs, ending with the kernel ids to run."""
     kernel_args = (
-        cells.p_occ, cells.pool_xy, cells.pool_off, cells.bs_xy,
-        MIN_DISTANCE_KM, cells.nc,
+        cells.p_occ, cells.pool_off, cells.nc,
         table.thresholds, table.rates, *model.kernel_constants(),
-        phy.p0, phy.noise_w, phy.pathloss_exponent, phy.s,
-        _position_terms(cells, phy),
+        phy.p0, phy.noise_w, _position_terms(cells, phy),
         budget, np.array(kinds, dtype=np.int64),
     )
     block_rows = max(1, BLOCK_ELEMENTS // (cells.n_inst * cells.nc))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from .batch import max_feasible
 from .complexity import ModelParams
 
 # LTE/NR AMC efficiency ladder at MCS-table granularity (bpcu), with the two
@@ -79,7 +79,7 @@ def max_feasible_index(table: McsTable, sinr: float) -> int | None:
 
     A NaN SINR meets no threshold.
     """
-    idx = int(kernels.max_feasible_idx(table.thresholds, sinr))
+    idx = int(max_feasible(table.thresholds, sinr))
     return idx if idx >= 0 else None
 
 

@@ -1,6 +1,7 @@
 """Uplink rate allocation under a sum decoding-cost budget.
 
-Three discrete allocators share the greedy skeleton in :mod:`.kernels`:
+Three discrete allocators share the greedy skeleton of :mod:`.batch`, run on
+one trial through :mod:`.kernels`:
 
 * ``mrs``  -- every user at its highest feasible ladder entry, no budget.
 * ``swf_discrete`` -- step down the user whose operating point demands the highest
@@ -25,12 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import batch, kernels
 from .complexity import (
     DomainError,
     LinearizationCoeffs,
     ModelParams,
     _guarded_capacity,
+    water_level,
 )
 from .mcs import McsTable
 
@@ -99,13 +101,16 @@ def required_water_level(
     targets are allowed for diagnostics as long as the radicand stays
     non-negative.
     """
-    rad = 4.0 * coeffs.quad_alpha * target_complexity + coeffs.quad_beta**2
-    if rad < 0.0:
+    with np.errstate(invalid="ignore"):
+        level = float(
+            water_level(coeffs.quad_alpha, coeffs.quad_beta, target_complexity)
+        )
+    if math.isnan(level):
         raise DomainError(
             f"no water level reaches complexity {target_complexity} "
-            f"(radicand {rad:.3e} < 0)"
+            "(radicand < 0)"
         )
-    return math.sqrt(rad)
+    return level
 
 
 def continuous_waterfill(
@@ -201,13 +206,11 @@ def _user_arrays(
     so an allocation equals the campaign's for the same SINRs, bit for bit.
     """
     sinr = np.array([u.sinr for u in users], dtype=np.float64)
-    cap = np.empty(len(users), np.float64)
-    for k, u in enumerate(users):
-        i = kernels.max_feasible_idx(table.thresholds, u.sinr)
-        cap[k] = (
-            _guarded_capacity(u.sinr, table.rates[i]) if i >= 0
-            else u.capacity
-        )
+    mf = batch.max_feasible(table.thresholds, sinr)
+    cap = np.array([
+        _guarded_capacity(u.sinr, table.rates[i]) if i >= 0 else u.capacity
+        for u, i in zip(users, mf)
+    ], dtype=np.float64)
     return sinr, cap
 
 

@@ -1,12 +1,16 @@
-"""The campaign's batched kernels must write the scalar kernels' bits.
+"""The batched kernels must write the scalar oracle's bits.
 
-``kernels.run_chunk`` is the trial-batched NumPy ``batch.run_chunk``.  It
-must produce the bits of the scalar chunk loop (``kernels._run_chunk``),
-which is the reference it is compared against:
+``batch`` is the one implementation of the per-trial algorithms: the
+campaign runs ``batch.run_chunk`` (``kernels.run_chunk``) on blocks of
+trials, and the public per-trial kernels of ``kernels`` run the same code on
+one row.  Both must produce the bits of the scalar loops in
+``tests/scalar_kernels.py``, the independent reference:
 
-* the batched path is compared with the scalar loop, exactly, on chunks of
-  the benchmark workloads and on edge cases, run a block at a time with the
-  cell set's position-term table as the campaign runs it;
+* the batched path is compared with the scalar chunk loop, exactly, on
+  chunks of the benchmark workloads and on edge cases, run a block at a time
+  with the cell set's position-term table as the campaign runs it;
+* each public per-trial kernel is compared with its scalar counterpart,
+  array by array, on the first evaluation trials of each benchmark workload;
 * each row of that table holds the scalar kernels' power terms of its pool
   point, bit for bit; the table is built once per stream and only read;
 * the campaign's per-block uniform draws are the one-shot draw of a chunk;
@@ -25,6 +29,7 @@ import sys
 
 import numpy as np
 import pytest
+import scalar_kernels
 
 from cran_sched import (
     Arena,
@@ -33,6 +38,7 @@ from cran_sched import (
     PhyParams,
     batch,
     cli,
+    complexity,
     default_table,
     generate_layout,
     harness,
@@ -43,12 +49,12 @@ BENCH_CONFIGS = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     "campaign_bench", "configs",
 )
+BENCH_WORKLOADS = ("reference", "interference", "tight-budget")
 ALL_KINDS = [kernels.MRS, kernels.SWF, kernels.SCC]
 
 PUBLIC_KERNELS = (
     "draw_arrays", "sinr_trial", "mrs_trial", "swf_trial", "scc_trial",
-    "schedule", "seq_sum", "max_feasible_idx", "complexity_value", "tangent",
-    "water_level_and_beta",
+    "schedule",
 )
 
 
@@ -58,6 +64,9 @@ def test_kernel_module_exposes_selection_flag():
     assert kernels.NUMBA_ENABLED is False
     for name in PUBLIC_KERNELS:
         assert callable(getattr(kernels, name)), name
+    # the scalar loops live in the test oracle only
+    for name in ("_run_chunk", "seq_sum", "water_level_and_beta"):
+        assert not hasattr(kernels, name), name
 
 
 def test_importing_the_package_does_not_try_numba(tmp_path):
@@ -77,11 +86,26 @@ def test_importing_the_package_does_not_try_numba(tmp_path):
 
 
 def kernel_args(cells, config, budget, kinds=ALL_KINDS):
-    """Arguments of ``run_chunk`` between the uniforms and the outputs."""
+    """Arguments of ``batch.run_chunk`` between the uniforms and the
+    outputs, as the campaign passes them."""
     return harness._payload(
         cells, config.table, config.model, config.phy, config.seed,
         harness.EVAL_STREAM, budget, kinds,
     )[-1]
+
+
+def scalar_args(cells, config, budget, kinds=ALL_KINDS):
+    """Arguments of the scalar oracle's ``run_chunk`` between the uniforms
+    and the outputs."""
+    phy = config.phy
+    return (
+        cells.p_occ, cells.pool_xy, cells.pool_off, cells.bs_xy,
+        harness.MIN_DISTANCE_KM, cells.nc,
+        config.table.thresholds, config.table.rates,
+        *config.model.kernel_constants(),
+        phy.p0, phy.noise_w, phy.pathloss_exponent, phy.s,
+        budget, np.array(kinds, dtype=np.int64),
+    )
 
 
 def block_rows(cells):
@@ -95,11 +119,11 @@ def split(u, n_inst):
 
 def scalar_run(u, n_inst, args):
     """``(n_active, out)`` of the scalar chunk loop on the uniform rows
-    ``u``."""
+    ``u``, given its :func:`scalar_args`."""
     rows = u.shape[0]
     n_active = np.zeros(rows, np.int64)
     out = np.zeros((rows, len(args[-1]), 2))
-    kernels._run_chunk(
+    scalar_kernels.run_chunk(
         *map(np.ascontiguousarray, split(u, n_inst)), *args, n_active, out
     )
     return n_active, out
@@ -115,19 +139,23 @@ def assert_outputs_equal(got, ref):
     )
 
 
-def assert_paths_equal(u, cells, args):
+def assert_paths_equal(u, cells, config, budget, kinds=ALL_KINDS):
     """Run the batched path, a block at a time as the campaign does, and
     the scalar chunk loop on the uniform rows ``u``; their outputs must be
     equal, bit for bit."""
+    args = kernel_args(cells, config, budget, kinds)
     rows, step = u.shape[0], block_rows(cells)
     got_n = np.zeros(rows, np.int64)
-    got = np.zeros((rows, len(args[-1]), 2))
+    got = np.zeros((rows, len(kinds), 2))
     for a in range(0, rows, step):
         b = a + step
         batch.run_chunk(
             *split(u[a:b], cells.n_inst), *args, got_n[a:b], got[a:b]
         )
-    assert_outputs_equal((got_n, got), scalar_run(u, cells.n_inst, args))
+    assert_outputs_equal(
+        (got_n, got),
+        scalar_run(u, cells.n_inst, scalar_args(cells, config, budget, kinds)),
+    )
     return got_n, got
 
 
@@ -136,12 +164,9 @@ def uniforms(seed, stream, chunk, rows, row_len):
     return rng.random((rows, row_len))
 
 
-@pytest.mark.parametrize(
-    "workload, rows",
-    # interference costs ~10x per scalar trial; 128 rows still span 3 blocks
-    [("reference", 700), ("tight-budget", 700), ("interference", 128)],
-)
-def test_batched_chunks_equal_scalar_on_benchmark_workloads(workload, rows):
+def bench_campaign(workload):
+    """``(config, cells, budget)`` of a benchmark workload, with the
+    evaluation's budget: the pinned ``c_server`` or the calibrated one."""
     config = cli.build_campaign(
         cli.parse_config(os.path.join(BENCH_CONFIGS, f"{workload}.cfg"))
     )
@@ -151,15 +176,24 @@ def test_batched_chunks_equal_scalar_on_benchmark_workloads(workload, rows):
         budget = harness.calibrate_budget(config, geometry)
     else:
         budget = config.c_server
+    return config, cells, budget
+
+
+@pytest.mark.parametrize(
+    "workload, rows",
+    # interference costs ~10x per scalar trial; 128 rows still span 3 blocks
+    [("reference", 700), ("tight-budget", 700), ("interference", 128)],
+)
+def test_batched_chunks_equal_scalar_on_benchmark_workloads(workload, rows):
+    config, cells, budget = bench_campaign(workload)
     streams = (
-        (harness.CALIBRATION_STREAM, kernel_args(
-            cells, config, math.inf, [kernels.MRS])),
-        (harness.EVAL_STREAM, kernel_args(cells, config, budget)),
+        (harness.CALIBRATION_STREAM, math.inf, [kernels.MRS]),
+        (harness.EVAL_STREAM, budget, ALL_KINDS),
     )
-    for stream, args in streams:
+    for stream, stream_budget, kinds in streams:
         for chunk in range(3):
             u = uniforms(config.seed, stream, chunk, rows, cells.row_len)
-            assert_paths_equal(u, cells, args)
+            assert_paths_equal(u, cells, config, stream_budget, kinds)
 
 
 def small_cells(n_centralized=3, background=False):
@@ -184,7 +218,7 @@ def test_batched_single_scheduled_cell():
         assert cells.nc == 1
         u = uniforms(7, 1, 0, 300, cells.row_len)
         for budget in (0.0, 5.0, math.inf):
-            assert_paths_equal(u, cells, kernel_args(cells, config, budget))
+            assert_paths_equal(u, cells, config, budget)
 
 
 def test_batched_edge_rows():
@@ -200,8 +234,7 @@ def test_batched_edge_rows():
     u[3] = u[2]
     u_pos[3] = 1.0              # ... clamped to the last pool point
     u_fade[4] = 0.0             # every gain floored at 1e-300
-    args = kernel_args(cells, config, 3.0)
-    n_active, out = assert_paths_equal(u, cells, args)
+    n_active, out = assert_paths_equal(u, cells, config, 3.0)
     assert n_active[0] == n_active[1] == 0
     assert (out[:2] == 0.0).all()
     assert n_active[2] == nc
@@ -212,22 +245,22 @@ def test_batched_edge_rows():
     npts = np.diff(cells.pool_off)
     u_last = u[2:3].copy()
     u_last[0, n_inst: 2 * n_inst] = (npts - 0.5) / npts
-    _, out_last = assert_paths_equal(u_last, cells, args)
+    _, out_last = assert_paths_equal(u_last, cells, config, 3.0)
     assert (out_last[0] == out[2]).all()
 
 
 def test_batched_budget_zero_and_infinite():
     config, cells = small_cells()
     u = uniforms(7, 1, 1, 500, cells.row_len)
-    _, out = assert_paths_equal(u, cells, kernel_args(cells, config, 0.0))
+    _, out = assert_paths_equal(u, cells, config, 0.0)
     # swf and scc must drop every user with a positive cost
     assert (out[:, 1:, 1] == 0.0).all()
-    _, out = assert_paths_equal(u, cells, kernel_args(cells, config, math.inf))
+    _, out = assert_paths_equal(u, cells, config, math.inf)
     assert (out[:, 0] == out[:, 1]).all() and (out[:, 0] == out[:, 2]).all()
 
 
 def scalar_sinr(config, cells, row):
-    """Occupancy and SINR of one uniform row, by the scalar kernels."""
+    """Occupancy and SINR of one uniform row, by the scalar oracle."""
     n_inst, nc = cells.n_inst, cells.nc
     occ = np.empty(n_inst, np.bool_)
     pos = np.empty((n_inst, 2))
@@ -235,13 +268,13 @@ def scalar_sinr(config, cells, row):
     cross_d = np.empty((n_inst, nc))
     fading = np.empty((n_inst, nc))
     sinr = np.empty(nc)
-    kernels.draw_arrays(
+    scalar_kernels.draw_arrays(
         row[:n_inst], row[n_inst: 2 * n_inst], row[2 * n_inst:],
         cells.p_occ, cells.pool_xy, cells.pool_off, cells.bs_xy,
         harness.MIN_DISTANCE_KM, nc, occ, pos, d_serv, cross_d, fading,
     )
     phy = config.phy
-    kernels.sinr_trial(
+    scalar_kernels.sinr_trial(
         occ, d_serv, cross_d, fading, phy.p0, phy.noise_w,
         phy.pathloss_exponent, phy.s, nc, sinr,
     )
@@ -256,11 +289,10 @@ def test_batched_sinr_equals_scalar_with_floored_gains():
     fade = u[:, 2 * n_inst:].reshape(20, n_inst, nc)
     fade[0] = 0.0                       # every gain 1e-300
     fade[1, 0, 0] = 0.0                 # cell 0's own gain 1e-300
-    args = kernel_args(cells, config, 3.0)
+    phy = config.phy
     occ, sinr = batch._channel(
-        u[:, :n_inst], u[:, n_inst: 2 * n_inst], u[:, 2 * n_inst:],
-        # p_occ, pool_off, nc, p0, noise and the position-term table
-        args[0], args[2], args[5], args[10], args[11], args[14],
+        *split(u, n_inst), cells.p_occ, cells.pool_off, nc,
+        phy.p0, phy.noise_w, harness._position_terms(cells, phy),
     )
     for t in range(u.shape[0]):
         ref_occ, ref_sinr = scalar_sinr(config, cells, u[t])
@@ -286,29 +318,31 @@ def test_batched_sinr_exactly_on_a_threshold():
         config, table=dataclasses.replace(config.table, thresholds=thresholds)
     )
     for budget in (0.0, 3.0, math.inf):
-        assert_paths_equal(u, cells, kernel_args(cells, config, budget))
+        assert_paths_equal(u, cells, config, budget)
 
 
-def scalar_chunk(payload, chunk, rows):
-    """The scalar chunk loop on the chunk's uniforms, drawn in one piece."""
-    seed, stream, n_inst, row_len, _block_rows, args = payload
+def scalar_chunk(payload, chunk, rows, args):
+    """The scalar chunk loop, given its :func:`scalar_args`, on the chunk's
+    uniforms, drawn in one piece."""
+    seed, stream, n_inst, row_len, _block_rows, _args = payload
     return scalar_run(
         uniforms(seed, stream, chunk, rows, row_len), n_inst, args
     )
 
 
-def test_batched_one_row_and_one_past_a_block(monkeypatch):
-    monkeypatch.setattr(kernels, "run_chunk", batch.run_chunk)
+def test_batched_one_row_and_one_past_a_block():
     config, cells = small_cells(background=True)
     step = block_rows(cells)
+    payload = harness._payload(
+        cells, config.table, config.model, config.phy, config.seed,
+        harness.EVAL_STREAM, 3.0, ALL_KINDS,
+    )
     for rows in (1, step + 1):
-        payload = harness._payload(
-            cells, config.table, config.model, config.phy, config.seed,
-            harness.EVAL_STREAM, 3.0, ALL_KINDS,
-        )
         assert_outputs_equal(
             harness._compute_chunk(payload, 3, rows),
-            scalar_chunk(payload, 3, rows),
+            scalar_chunk(
+                payload, 3, rows, scalar_args(cells, config, 3.0)
+            ),
         )
 
 
@@ -334,7 +368,7 @@ def test_uniform_blocks_equal_the_one_shot_draw():
 
 
 def scalar_terms(cells, phy):
-    """Each pool point's power terms as ``kernels.sinr_trial`` computes
+    """Each pool point's power terms as the scalar ``sinr_trial`` computes
     them, one ``pow`` call each, with ``0.0`` for the unused ones: the
     point's loss to its own cell and a background point's signal term."""
     apl, s, dmin = phy.pathloss_exponent, phy.s, harness.MIN_DISTANCE_KM
@@ -386,17 +420,17 @@ def test_pool_point_drawn_in_two_blocks_equals_scalar():
     u[:, :n_inst] = 0.0                 # every cell occupied ...
     u[20:, n_inst: 2 * n_inst] = u[:20, n_inst: 2 * n_inst]
     u[20:, 2 * n_inst:] = u[:20, 2 * n_inst:][::-1]  # ... new gains
-    args = kernel_args(cells, config, 3.0)
-    terms = args[14].copy()
-    assert_paths_equal(u[:20], cells, args)
+    table = harness._position_terms(cells, config.phy)
+    terms = table.copy()
+    assert_paths_equal(u[:20], cells, config, 3.0)
     # the second block reads the same points from the table, which the
     # blocks only read
-    assert_paths_equal(u[20:], cells, args)
-    np.testing.assert_array_equal(bits(args[14]), bits(terms))
+    assert_paths_equal(u[20:], cells, config, 3.0)
+    assert harness._position_terms(cells, config.phy) is table
+    np.testing.assert_array_equal(bits(table), bits(terms))
 
 
 def test_pool_point_terms_are_computed_once_per_stream(monkeypatch):
-    monkeypatch.setattr(kernels, "run_chunk", batch.run_chunk)
     built = []
     build = batch.position_terms
 
@@ -420,7 +454,9 @@ def test_pool_point_terms_are_computed_once_per_stream(monkeypatch):
         rows = min(harness.CHUNK_TRIALS, n_trials - a)
         assert_outputs_equal(
             (n_active[a: a + rows], out[a: a + rows]),
-            scalar_chunk(payload, chunk, rows),
+            scalar_chunk(
+                payload, chunk, rows, scalar_args(cells, config, 3.0)
+            ),
         )
 
 
@@ -431,14 +467,14 @@ def test_rows_within_budget_keep_the_max_rate_allocation():
     config, cells = small_cells()
     u = uniforms(7, 1, 6, 300, cells.row_len)
     u[:, : cells.n_inst] = 0.0          # every cell occupied
-    _n, ref = scalar_run(u, cells.n_inst, kernel_args(cells, config, 0.0))
+    _n, ref = scalar_run(u, cells.n_inst, scalar_args(cells, config, 0.0))
     cost = ref[:, 0, 1]
     bound = u[cost > 0.0]
     assert bound.shape[0] > 100
     budget = float(cost.max())
-    _n, out = assert_paths_equal(u, cells, kernel_args(cells, config, budget))
+    _n, out = assert_paths_equal(u, cells, config, budget)
     assert (out == out[:, :1]).all()
-    _n, out = assert_paths_equal(bound, cells, kernel_args(cells, config, 0.0))
+    _n, out = assert_paths_equal(bound, cells, config, 0.0)
     assert (out[:, 1:, 1] == 0.0).all() and (out[:, 0, 1] > 0.0).all()
 
 
@@ -446,16 +482,114 @@ def test_batched_source_keeps_to_the_bit_identity_rules():
     # NumPy's sums are pairwise and its log/exp/power loops may differ from
     # libm in the last bit: the batched path sums left to right, and only
     # batch._libm calls NumPy's log1p/power/log2, in the one stride pattern
-    # whose exactness the tests below check directly
-    source = inspect.getsource(batch)
+    # whose exactness the tests below check directly.  The per-trial
+    # kernels and the formulas they share with it keep to the same rules.
     helper = inspect.getsource(batch._libm)
-    for banned in ("np.exp", "np.sum", ".sum("):
-        assert banned not in source, banned
-    assert re.search(r"np\.log(?!1p\b|2\b)", source) is None, "np.log"
-    rest = source.replace(helper, "")
-    for banned in ("np.log1p", "np.power", "np.log2"):
-        assert banned in helper, banned
+    rest = "".join(
+        inspect.getsource(m) for m in (batch, kernels, complexity)
+    ).replace(helper, "")
+    for banned in ("np.exp", "np.sum", ".sum(", "np.power"):
         assert banned not in rest, banned
+    assert re.search(r"np\.log", rest) is None, "np.log"
+    for used in ("np.log1p", "np.power", "np.log2"):
+        assert used in helper, used
+
+
+def test_swf_trial_rejects_the_removed_pre_pass():
+    table = default_table(ModelParams())
+    c0, ilz = ModelParams().kernel_constants()
+    sinr = np.array([3.0, 15.0])
+    cap = np.log2(1.0 + sinr)
+    idx, comp = np.empty(2, np.int64), np.empty(2)
+    args = (sinr, cap, table.thresholds, table.rates, c0, ilz, 1.0)
+    with pytest.raises(ValueError, match="drop_prep"):
+        kernels.swf_trial(*args, True, idx, comp)
+    assert kernels.swf_trial(*args, False, idx, comp) == (
+        scalar_kernels.swf_trial(*args, False, idx.copy(), comp.copy())
+    )
+
+
+# ------------------------------------------ per-trial kernels == scalar ones
+
+
+def trial_buffers(n_inst, nc):
+    """Fresh output arrays of ``draw_arrays`` and ``sinr_trial``, filled
+    with a sentinel so that an entry left unwritten shows."""
+    return [
+        np.full(shape, 7.0) for shape in
+        ((n_inst, 2), (n_inst,), (n_inst, nc), (n_inst, nc), (nc,))
+    ]
+
+
+def assert_bits_equal(got, want, what):
+    np.testing.assert_array_equal(bits(got), bits(want), err_msg=what)
+
+
+@pytest.mark.parametrize("workload", BENCH_WORKLOADS)
+def test_per_trial_kernels_equal_the_scalar_oracle(workload):
+    # the first evaluation trials of the workload, as the benchmark's
+    # traced replay takes them, through each public per-trial kernel and
+    # its scalar counterpart
+    config, cells, budget = bench_campaign(workload)
+    n_inst, nc = cells.n_inst, cells.nc
+    u = uniforms(config.seed, harness.EVAL_STREAM, 0, 512, cells.row_len)
+    phy, table = config.phy, config.table
+    c0, ilz = config.model.kernel_constants()
+    draw = (cells.p_occ, cells.pool_xy, cells.pool_off, cells.bs_xy,
+            harness.MIN_DISTANCE_KM, nc)
+    power = (phy.p0, phy.noise_w, phy.pathloss_exponent, phy.s, nc)
+    seen_bound = seen_empty = 0
+    for t, row in enumerate(u):
+        outs = {}
+        for name, mod in (("got", kernels), ("want", scalar_kernels)):
+            occ = np.empty(n_inst, np.bool_)
+            pos, d_serv, cross_d, fading, sinr = trial_buffers(n_inst, nc)
+            n_active = mod.draw_arrays(
+                row[:n_inst], row[n_inst: 2 * n_inst], row[2 * n_inst:],
+                *draw, occ, pos, d_serv, cross_d, fading,
+            )
+            mod.sinr_trial(occ, d_serv, cross_d, fading, *power, sinr)
+            outs[name] = (n_active, occ, pos, d_serv, cross_d, fading, sinr)
+        got, want = outs["got"], outs["want"]
+        assert got[0] == want[0], t
+        np.testing.assert_array_equal(got[1], want[1], err_msg=str(t))
+        for name, g, w in zip(
+            ("positions", "distances", "cross distances", "fading", "sinr"),
+            got[2:], want[2:],
+        ):
+            assert_bits_equal(g, w, f"trial {t}: {name}")
+        occ, pos, d_serv, cross_d, fading, sinr = got[1:]
+        empty = ~occ
+        seen_empty += int(empty.any())
+        assert np.isnan(pos[empty]).all() and np.isnan(d_serv[empty]).all()
+        assert np.isnan(cross_d[empty]).all()
+        assert (fading > 0.0).all()
+        assert (sinr[empty[:nc]] == -1.0).all()
+
+        act = occ[:nc]
+        a_sinr = sinr[act]
+        a_cap = np.array([math.log2(1.0 + g) for g in a_sinr])
+        na = a_sinr.size
+        common = (a_sinr, a_cap, table.thresholds, table.rates, c0, ilz)
+        results = {}
+        for name, mod in (("got", kernels), ("want", scalar_kernels)):
+            runs = []
+            for kernel, extra in (
+                (mod.mrs_trial, ()), (mod.swf_trial, (budget, False)),
+                (mod.scc_trial, (budget,)),
+            ):
+                idx = np.full(nc, -7, np.int64)
+                comp = np.full(nc, 7.0)
+                sums = kernel(*common, *extra, idx, comp)
+                runs.append((sums, idx[:na], comp[:na]))
+            results[name] = runs
+        for kind, g, w in zip(("mrs", "swf", "scc"), *results.values()):
+            assert g[0] == w[0], f"trial {t}: {kind} sums"
+            np.testing.assert_array_equal(g[1], w[1], f"trial {t}: {kind}")
+            assert_bits_equal(g[2], w[2], f"trial {t}: {kind} costs")
+        seen_bound += int(results["got"][0][0][1] > budget)
+    # the sample covers unoccupied cells and trials over budget
+    assert seen_empty > 0 and seen_bound > 0
 
 
 # ------------------------------------------------ libm through NumPy's loop
