@@ -2,55 +2,39 @@
 
 This is the one implementation of the per-trial algorithms.  Its functions
 work on a block of trials, one row per trial and any number of rows:
-:func:`run_chunk` runs a block of a campaign chunk, and the public per-trial
-kernels of :mod:`.kernels` run the same functions on one row.  ``harness``
-owns the block loop: it draws a chunk's uniforms one block at a time and
-calls :func:`run_chunk` once per block.  Inactive users stay in place as
-padding (no ladder entry, cost ``0.0``), so every array is (rows x cells)
-and a trial's users keep their cell order.  The scheduler kernel ids are
-dispatched in one place, :func:`allocate`.
+``harness`` calls :func:`run_chunk` once per block of a campaign chunk, and
+the public per-trial kernels of :mod:`.kernels` run the same functions on
+one row.  Inactive users stay in place as padding (no ladder entry, cost
+``0.0``), so every array is (rows x cells) and a trial's users keep their
+cell order.  The scheduler kernel ids are dispatched in one place,
+:func:`allocate`; the cost, tangent and water-level formulas are
+:mod:`.complexity`'s.
 
 The kernels write the bits of the scalar loops they replaced, which
 ``tests/scalar_kernels.py`` keeps as the independent reference, by five
-rules:
+rules (the README's "Kernels" section gives the measurements):
 
 * NumPy does only ``+ - * /``, comparisons and ``sqrt``, which are correctly
   rounded on every SIMD path.
 * ``log1p``, ``pow`` and ``log2`` are libm's, element by element
-  (:func:`_each`).  NumPy's contiguous loops for them are vectorised and may
-  differ from libm in the last bit, but on an input read backwards into a
-  forward output NumPy falls back to its scalar loop, which calls the same
-  libm function as ``math`` (:func:`_libm`): about 14 ns per element against
-  88 ns for one CPython call per element (:func:`_map`).  A seeded probe
-  checks that loop bit for bit against ``_map`` the first time a process
-  uses each function, and ``_map`` serves a function whose probe fails and
-  any argument or result outside the domain where the two agree.
-* Every sum is an explicit left-to-right loop over the columns
-  (:func:`_seq_sum`), never a NumPy reduction, which sums pairwise.  The
-  ``0.0`` padding leaves such sums unchanged.
+  (:func:`_each`): through NumPy's scalar loop, which calls libm
+  (:func:`_libm`), where a probe found it bit-identical to one CPython call
+  per element (:func:`_map`), else through ``_map``.
+* Every sum adds left to right (:func:`_seq_sum`), never pairwise as a
+  NumPy reduction does.  The ``0.0`` padding leaves such sums unchanged.
 * The max-feasible entry is ``searchsorted(thresholds, sinr, "right") - 1``
   (:func:`max_feasible`), the scalar binary search's answer.  Ties in the
-  greedy choices go to the first user, as ``np.argmax`` and a stable sort
+  greedy choices go to the first user, as ``argmax`` and a stable sort
   pick them.
 * The power terms that depend only on a user's position are computed once
-  per pool point and cell set, into a table (:func:`position_terms`), and
-  read back by index.  A libm call gives the same double for the same
-  argument, and the products keep the scalar order
-  ``((p0 * tx) * fading) * loss``.  A point's loss to its own cell is
-  ``0.0`` in the table and the fading gain of an unoccupied pair is ``0.0``,
-  so the pairs the scalar loop skips add ``0.0`` to its sums.
+  per pool point and cell set (:func:`position_terms`) and read back by
+  index; the products keep the scalar order ``((p0 * tx) * fading) *
+  loss``, and the pairs the scalar loop skips add ``0.0``.
 
-The cost, tangent and water-level formulas are :mod:`.complexity`'s, which
-work on arrays as on floats.  The per-element libm calls dominate the cost,
-so they are made only where their results are used: the fading gains of
-occupied cells and the capacities of active users.  Only the rows whose
-max-rate cost exceeds the budget run the greedy kernels; every other row
-keeps the max-rate allocation, which is what both return there.  The
-greedy step-down loops only over the rows still over budget and recomputes
-only the user that stepped, reusing the ``log2(cap - rate)`` of its cost
-for its water level; swf caches each user's water level, and its re-add
-pass visits the dropped users in a stable descending order of their
-initial level.
+The libm calls dominate the cost, so they are made only where their
+results are used.  Only the rows whose max-rate cost exceeds the budget run
+the greedy kernels, whose step-down loops over the rows still over budget
+and recomputes only the user that stepped.
 """
 
 from __future__ import annotations
@@ -80,11 +64,20 @@ TERMS_ELEMENTS = 2**16
 # its probe on first use
 _FAST: dict = {}
 
+# _map beats _libm's fixed 3.5-5.5 us below this many elements
+_LIBM_MIN = 64
+
+# one add.accumulate call beats the loop over columns below this many rows
+_ACCUMULATE_ROWS = 32
+
 
 def _each(fn, x, *args):
     """``fn(v, *args)`` for each element ``v`` of the 1-D array ``x``,
-    exactly as libm computes it: through :func:`_libm` where ``fn`` passed
-    its probe and the arguments are in its domain, else :func:`_map`."""
+    exactly as libm computes it: through :func:`_libm` where ``x`` is
+    large enough to pay for it, ``fn`` passed its probe and the arguments
+    are in its domain, else :func:`_map`."""
+    if x.size < _LIBM_MIN:
+        return _map(fn, x, *args)
     fast = _FAST.get(fn)
     if fast is None:
         fast = _FAST[fn] = _probe(fn)
@@ -171,7 +164,11 @@ def _probe(fn) -> bool:
 
 
 def _seq_sum(a):
-    """Left-to-right sum of each row of a 2-D array."""
+    """Left-to-right sum ``((0.0 + a0) + a1) + ...`` of each row of a 2-D
+    array.  ``add.accumulate`` adds in that order too, starting from
+    ``a0``; the ``+ 0.0`` gives an all ``-0.0`` row the loop's ``+0.0``."""
+    if a.shape[0] < _ACCUMULATE_ROWS and a.shape[1]:
+        return np.add.accumulate(a, axis=1)[:, -1] + 0.0
     total = np.zeros(a.shape[0])
     for k in range(a.shape[1]):
         total += a[:, k]
@@ -181,6 +178,18 @@ def _seq_sum(a):
 def _distance(dx, dy, dmin):
     """Distance from the offsets, floored at ``dmin``."""
     return np.maximum(np.sqrt(dx * dx + dy * dy), dmin)
+
+
+def distances(xy, owner, bs_xy, dmin, nc):
+    """``(d_serv, cross)``: the distances of users at positions ``xy``
+    (n x 2) in cells ``owner`` to their own BS (n) and to the scheduled
+    cells' BSs (n x nc), floored at ``dmin``."""
+    px, py = xy[:, 0], xy[:, 1]
+    d_serv = _distance(px - bs_xy[owner, 0], py - bs_xy[owner, 1], dmin)
+    cross = _distance(
+        px[:, None] - bs_xy[:nc, 0], py[:, None] - bs_xy[:nc, 1], dmin
+    )
+    return d_serv, cross
 
 
 def _power_terms(rows, owner, d_serv, cross, nc, apl, s):
@@ -207,10 +216,8 @@ def position_terms(pool_xy, pool_off, bs_xy, dmin, nc, apl, s):
     step = max(1, TERMS_ELEMENTS // nc)
     for a in range(0, n_points, step):
         owner = owners[a: a + step]
-        px, py = pool_xy[a: a + step, 0], pool_xy[a: a + step, 1]
-        d_serv = _distance(px - bs_xy[owner, 0], py - bs_xy[owner, 1], dmin)
-        cross = _distance(
-            px[:, None] - bs_xy[:nc, 0], py[:, None] - bs_xy[:nc, 1], dmin
+        d_serv, cross = distances(
+            pool_xy[a: a + step], owner, bs_xy, dmin, nc
         )
         _power_terms(terms[a: a + step], owner, d_serv, cross, nc, apl, s)
     return terms
@@ -254,6 +261,20 @@ def sinr_from_terms(at, fading, p0, noise):
     diag = np.arange(nc)
     num = p0 * fading[:, diag, diag] * at[:, :nc, _SIG]
     return num / den
+
+
+def sinr_from_distances(occ, d_serv, cross, fading, nc, p0, noise, apl, s):
+    """:func:`sinr_from_terms` of the occupancy ``occ`` (rows x n_inst), the
+    :func:`distances` of each cell's user (rows x n_inst, rows x n_inst x
+    nc) and the gains of every pair, with the occupied users' power terms
+    computed here, not read from a table."""
+    row, owner = np.nonzero(occ)
+    terms = np.zeros((owner.size, _LOSS + nc))
+    _power_terms(terms, owner, d_serv[occ], cross[occ], nc, apl, s)
+    at = np.zeros(occ.shape + (_LOSS + nc,))
+    at[row, owner] = terms
+    pair = occ[:, :, None] & occ[:, None, :nc]
+    return sinr_from_terms(at, np.where(pair, fading, 0.0), p0, noise)
 
 
 def _channel(u_occ, u_pos, u_fade, p_occ, pool_off, nc, p0, noise, terms):
@@ -321,7 +342,7 @@ def _swf(mf, cap, init_c, wl0, rates, c0, ilz, budget):
     idx, comp, wl = mf.copy(), init_c.copy(), wl0.copy()
     rows = np.flatnonzero(_seq_sum(comp) > budget)
     while rows.size:
-        best = np.argmax(wl[rows], axis=1)
+        best = wl[rows].argmax(axis=1)
         has = wl[rows, best] > -np.inf
         rows, best = rows[has], best[has]
         i, lg = _step_down(idx, comp, rows, best, cap, rates, c0, ilz)
@@ -351,7 +372,7 @@ def _scc(mf, cap, init_c, rates, c0, ilz, budget):
     idx, comp = mf.copy(), init_c.copy()
     rows = np.flatnonzero(_seq_sum(comp) > budget)
     while rows.size:
-        best = np.argmax(comp[rows], axis=1)
+        best = comp[rows].argmax(axis=1)
         has = comp[rows, best] > 0.0
         rows, best = rows[has], best[has]
         _step_down(idx, comp, rows, best, cap, rates, c0, ilz)
@@ -364,34 +385,40 @@ def allocate(kind, mf, cap, init_c, lg, rates, c0, ilz, budget):
     scheduler ``kind`` (MRS, SWF or SCC) gives each user of a block, from
     the users' max-feasible entries ``mf``, capacities and the
     :func:`_costs` ``(init_c, lg)`` there.  MRS ignores the budget and
-    returns ``mf`` and ``init_c`` themselves."""
-    if kind == MRS:
+    returns ``mf`` and ``init_c`` themselves, as every kind does on a block
+    of no rows."""
+    if kind not in (MRS, SWF, SCC):
+        raise ValueError("unknown scheduler kernel id")
+    if kind == MRS or not mf.size:
         return mf, init_c
     if kind == SWF:
         wl0 = _levels(mf, cap, init_c, lg, rates, c0, ilz)
         return _swf(mf, cap, init_c, wl0, rates, c0, ilz, budget)
-    if kind == SCC:
-        return _scc(mf, cap, init_c, rates, c0, ilz, budget)
-    raise ValueError("unknown scheduler kernel id")
+    return _scc(mf, cap, init_c, rates, c0, ilz, budget)
 
 
-def _schedule(act, sinr, thresholds, rates, c0, ilz, budget, kinds, out):
-    """Run scheduler ``kinds[j]`` on every trial of a block and write
-    ``out[t, j] = (sum_rate, sum_complexity)``."""
-    mf = np.where(act, max_feasible(thresholds, sinr), -1)
-    cap = np.zeros(act.shape)
-    cap[act] = _each(math.log2, 1.0 + sinr[act])
+def schedule_block(kinds, mf, cap, rates, c0, ilz, budget):
+    """For each scheduler in ``kinds``, :func:`allocate`'s ``(idx, comp)``
+    on a block and each row's ``(sum_rate, sum_complexity)``.  The costs at
+    ``mf`` are computed once for all kinds, and the rows whose max-rate
+    cost exceeds the budget are sliced once: every other row keeps the
+    max-rate allocation, which every kind gives there."""
     init_c, lg = _costs(mf, cap, rates, c0, ilz)
     sum_rate, sum_comp = _totals(mf, init_c, rates)
-    out[:, :, 0] = sum_rate[:, None]
-    out[:, :, 1] = sum_comp[:, None]
-    # the greedy kernels step down only the rows over budget, and return
-    # max-rate's allocation on every other row
     bound = np.flatnonzero(sum_comp > budget)
     block = mf[bound], cap[bound], init_c[bound], lg[bound]
-    for j, kind in enumerate(kinds):
-        idx, comp = allocate(kind, *block, rates, c0, ilz, budget)
-        out[bound, j, 0], out[bound, j, 1] = _totals(idx, comp, rates)
+    results = []
+    for kind in kinds:
+        i, c = allocate(kind, *block, rates, c0, ilz, budget)
+        if i is block[0]:  # MRS, or no row over budget
+            results.append((mf, init_c, sum_rate, sum_comp))
+            continue
+        idx, comp = mf.copy(), init_c.copy()
+        idx[bound], comp[bound] = i, c
+        r, k = sum_rate.copy(), sum_comp.copy()
+        r[bound], k[bound] = _totals(i, c, rates)
+        results.append((idx, comp, r, k))
+    return results
 
 
 def run_chunk(
@@ -409,4 +436,9 @@ def run_chunk(
     )
     act = occ[:, :nc]
     out_n_active[:] = np.count_nonzero(act, axis=1)
-    _schedule(act, sinr, thresholds, rates, c0, ilz, budget, kinds, out)
+    mf = np.where(act, max_feasible(thresholds, sinr), -1)
+    cap = np.zeros(act.shape)
+    cap[act] = _each(math.log2, 1.0 + sinr[act])
+    results = schedule_block(kinds, mf, cap, rates, c0, ilz, budget)
+    for j, (_idx, _comp, sum_rate, sum_comp) in enumerate(results):
+        out[:, j, 0], out[:, j, 1] = sum_rate, sum_comp

@@ -1,19 +1,11 @@
 """Per-trial kernels: one trial's channel draw, SINR and allocations.
 
-Each function here runs the trial-batched kernels of :mod:`.batch`, the one
-implementation, on a block of one row, with the per-trial signature and
-output arrays of the scalar loops they replaced (which
-``tests/scalar_kernels.py`` keeps as the test oracle).  Three callers use
-this module:
-
-* the campaign calls :data:`run_chunk`, which is ``batch.run_chunk``, once
-  per block of uniform rows, through this module's attribute (``harness``
-  splits each chunk into blocks).  The calibration runs the same chunk loop
-  with the max-rate kernel alone;
-* the library (``sched``, ``netsim.draw_from_row``,
-  ``netsim.uplink_sinr_all``) calls the per-trial kernels;
-* the campaign benchmark's traced run replays trials through the public
-  per-trial kernels and compares them bit for bit with the campaign.
+Each function here runs :mod:`.batch`, the one implementation, on a block
+of one row, with the per-trial signature and output arrays of the scalar
+loops it replaced (``tests/scalar_kernels.py``).  The campaign calls
+:data:`run_chunk`, which is ``batch.run_chunk``, through this module's
+attribute; the library (``sched``, ``netsim``) calls the per-trial kernels,
+and the campaign benchmark's traced run replays trials through them.
 
 Scheduling kernels take one trial's active users, break argmax ties toward
 the lowest array position and write each user's ladder entry (``-1``: not
@@ -38,11 +30,10 @@ def schedule(kind, sinr, cap, thresholds, rates, c0, ilz, budget, idx, comp):
     returns ``(sum_rate, sum_complexity)``.  MRS ignores the budget."""
     n = sinr.shape[0]
     mf = batch.max_feasible(thresholds, sinr)[None]
-    cap = cap[None]
-    init_c, lg = batch._costs(mf, cap, rates, c0, ilz)
-    i, c = batch.allocate(kind, mf, cap, init_c, lg, rates, c0, ilz, budget)
+    [(i, c, sum_rate, sum_comp)] = batch.schedule_block(
+        [kind], mf, cap[None], rates, c0, ilz, budget
+    )
     idx[:n], comp[:n] = i[0], c[0]
-    sum_rate, sum_comp = batch._totals(i, c, rates)
     return float(sum_rate[0]), float(sum_comp[0])
 
 
@@ -55,15 +46,9 @@ def mrs_trial(sinr, cap, thresholds, rates, c0, ilz, idx, comp):
 
 def swf_trial(sinr, cap, thresholds, rates, c0, ilz, budget, drop_prep, idx, comp):
     """Water-level-guided MCS reduction with a final re-add pass.
-
-    Starts every user at its max feasible entry, repeatedly steps down the
-    user whose current operating point demands the highest water level until
-    the total cost fits the budget, then tries to restore dropped users (at
-    their max feasible entry, highest water level first) wherever the budget
-    still allows.  ``drop_prep`` must be false: the pre-pass it enabled is
-    gone, and the parameter stays only because the campaign benchmark's
-    replay passes it (ROADMAP item 3).
-    """
+    ``drop_prep`` must be false: the pre-pass it enabled is gone, and the
+    parameter stays only because the campaign benchmark's replay passes it
+    (ROADMAP item 3)."""
     if drop_prep:
         raise ValueError("swf_trial has no drop_prep pre-pass; pass False")
     return schedule(
@@ -96,12 +81,8 @@ def draw_arrays(
     user = np.flatnonzero(occ)
     pos[:] = d_serv[:] = cross_d[:] = np.nan
     pos[user] = pool_xy[batch.pool_index(u_pos, pool_off)[user]]
-    px, py = pos[user, 0], pos[user, 1]
-    d_serv[user] = batch._distance(
-        px - bs_xy[user, 0], py - bs_xy[user, 1], dmin
-    )
-    cross_d[user] = batch._distance(
-        px[:, None] - bs_xy[:nc, 0], py[:, None] - bs_xy[:nc, 1], dmin
+    d_serv[user], cross_d[user] = batch.distances(
+        pos[user], user, bs_xy, dmin, nc
     )
     fading[:] = batch.fading_gains(u_fade, np.ones(fading.shape, np.bool_))
     return int(np.count_nonzero(occ[:nc]))
@@ -111,12 +92,8 @@ def sinr_trial(occ, d_serv, cross_d, fading, p0, noise, apl, s, nc, sinr):
     """Uplink SINR per scheduled cell, ``-1.0`` where it is unoccupied:
     fractionally power-controlled signal over noise plus interference from
     every other occupied cell."""
-    user = np.flatnonzero(occ)
-    at = np.zeros((1, occ.shape[0], batch._LOSS + nc))
-    rows = np.zeros((user.size, batch._LOSS + nc))
-    batch._power_terms(rows, user, d_serv[user], cross_d[user], nc, apl, s)
-    at[0, user] = rows
-    gains = np.where(occ[:, None] & occ[:nc], fading, 0.0)
-    sinr[:nc] = np.where(
-        occ[:nc], batch.sinr_from_terms(at, gains[None], p0, noise)[0], -1.0
+    got = batch.sinr_from_distances(
+        occ[None], d_serv[None], cross_d[None], fading[None],
+        nc, p0, noise, apl, s,
     )
+    sinr[:nc] = np.where(occ[:nc], got[0], -1.0)

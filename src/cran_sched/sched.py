@@ -1,19 +1,12 @@
 """Uplink rate allocation under a sum decoding-cost budget.
 
-Three discrete allocators share the greedy skeleton of :mod:`.batch`, run on
-one trial through :mod:`.kernels`:
-
-* ``mrs``  -- every user at its highest feasible ladder entry, no budget.
-* ``swf_discrete`` -- step down the user whose operating point demands the highest
-  water level (the level a continuous water-filler would need to reach that
-  rate under the local quadratic cost model), then try to re-admit dropped
-  users; keeps the allocation close to the continuous optimum.
-* ``scc``  -- step down the single most expensive user; a cheaper heuristic
-  that targets the largest immediate cost reduction.
-
-``continuous_waterfill`` solves the relaxed problem exactly on the quadratic
-cost model via bisection on the water level and is the reference the
-optimality tests check KKT conditions against.
+Three discrete allocators run the batched kernels of :mod:`.batch` on one
+trial through :mod:`.kernels`: ``mrs`` (every user at its highest feasible
+entry, no budget), ``swf_discrete`` (water-level-guided step-down with a
+re-add pass, close to the continuous optimum) and ``scc`` (step down the
+most expensive user, a cheaper heuristic).  ``continuous_waterfill`` solves
+the relaxed problem exactly on the quadratic cost model by bisection on the
+water level; the optimality tests check KKT conditions against it.
 
 All argmax ties break toward the earliest user in the input list, so results
 are reproducible for any caller that presents users in a fixed order.
@@ -101,14 +94,17 @@ def required_water_level(
     targets are allowed for diagnostics as long as the radicand stays
     non-negative.
     """
+    alpha, beta = coeffs.quad_alpha, coeffs.quad_beta
     with np.errstate(invalid="ignore"):
-        level = float(
-            water_level(coeffs.quad_alpha, coeffs.quad_beta, target_complexity)
-        )
-    if math.isnan(level):
+        level = float(water_level(alpha, beta, target_complexity))
+    # finite inputs give NaN only from a negative radicand; NaN inputs
+    # give NaN back
+    if math.isnan(level) and all(
+        map(math.isfinite, (alpha, beta, target_complexity))
+    ):
         raise DomainError(
-            f"no water level reaches complexity {target_complexity} "
-            "(radicand < 0)"
+            f"no water level reaches complexity {target_complexity} with "
+            f"quad_alpha {alpha:.3e}, quad_beta {beta:.3e} (radicand < 0)"
         )
     return level
 

@@ -484,15 +484,29 @@ def test_batched_source_keeps_to_the_bit_identity_rules():
     # batch._libm calls NumPy's log1p/power/log2, in the one stride pattern
     # whose exactness the tests below check directly.  The per-trial
     # kernels and the formulas they share with it keep to the same rules.
-    helper = inspect.getsource(batch._libm)
-    rest = "".join(
+    source = "".join(
         inspect.getsource(m) for m in (batch, kernels, complexity)
-    ).replace(helper, "")
-    for banned in ("np.exp", "np.sum", ".sum(", "np.power"):
+    )
+    helper = inspect.getsource(batch._libm)
+    for banned in ("np.exp", "np.sum", ".sum("):
+        assert banned not in source, banned
+    assert re.search(r"np\.log(?!1p\b|2\b)", source) is None, "np.log"
+    rest = source.replace(helper, "")
+    for banned in ("np.log1p", "np.power", "np.log2"):
+        assert banned in helper, banned
         assert banned not in rest, banned
-    assert re.search(r"np\.log", rest) is None, "np.log"
-    for used in ("np.log1p", "np.power", "np.log2"):
-        assert used in helper, used
+
+
+@pytest.mark.parametrize("rows", [1, 5, batch._ACCUMULATE_ROWS, 200])
+def test_seq_sum_adds_left_to_right(rows):
+    # both of _seq_sum's paths give the scalar loop's bits, a -0.0 row's
+    # +0.0 included, on values whose pairwise sum would differ
+    rng = np.random.default_rng(rows)
+    a = rng.choice([1.0, 1e-16, -1.0, 3e-17, 0.1], (rows, 11))
+    a[0] = -0.0
+    want = [scalar_kernels.seq_sum(row, row.size) for row in a]
+    assert_bits_equal(batch._seq_sum(a), want, "seq_sum")
+    assert_bits_equal(batch._seq_sum(a[:, :0]), np.zeros(rows), "no columns")
 
 
 def test_swf_trial_rejects_the_removed_pre_pass():
@@ -740,7 +754,10 @@ def test_probe_rejects_a_loop_that_differs_rarely(
 def test_each_probes_once_per_function_and_logs_the_path(monkeypatch, caplog):
     monkeypatch.setattr(batch, "_FAST", {})
     caplog.set_level("INFO", logger="cran_sched.batch")
-    x = np.array([-0.25, -0.5])
+    # a few elements go to _map straight away, without a probe
+    batch._each(math.log1p, np.array([-0.25, -0.5]))
+    assert not caplog.records and not batch._FAST
+    x = -np.linspace(0.25, 0.5, batch._LIBM_MIN)
     for _ in range(3):
         batch._each(math.log1p, x)
         batch._each(math.log2, -x)

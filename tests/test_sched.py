@@ -1,5 +1,6 @@
 """Unit and property tests for the rate allocators."""
 
+import dataclasses
 import itertools
 import math
 
@@ -94,8 +95,17 @@ def test_required_water_level_negative_radicand():
     assert required_water_level(co, floor + 1e-12) == pytest.approx(
         0.0, abs=1e-5
     )
-    with pytest.raises(DomainError, match="radicand"):
+    with pytest.raises(DomainError, match="quad_alpha .*radicand") as err:
         required_water_level(co, floor - 1e-6)
+    assert f"{co.quad_beta:.3e}" in str(err.value)
+
+
+def test_required_water_level_passes_nan_through():
+    # a NaN target or coefficient is no negative radicand: the level is NaN
+    co = linearize(PARAMS, 3.0, 1.0)
+    assert math.isnan(required_water_level(co, math.nan))
+    nan_alpha = dataclasses.replace(co, quad_alpha=math.nan)
+    assert math.isnan(required_water_level(nan_alpha, 0.5))
 
 
 # ------------------------------------------------------------ two-user trace
