@@ -6,8 +6,9 @@ work on a block of trials, one row per trial and any number of rows:
 the public per-trial kernels of :mod:`.kernels` run the same functions on
 one row.  Inactive users stay in place as padding (no ladder entry, cost
 ``0.0``), so every array is (rows x cells) and a trial's users keep their
-cell order.  The scheduler kernel ids are dispatched in one place,
-:func:`allocate`; the cost, tangent and water-level formulas are
+cell order.  A scheduler is a function of a block, :func:`mrs`, :func:`swf`
+or :func:`scc`, all with one signature, and :func:`schedule_block` calls
+each one it is given; the cost, tangent and water-level formulas are
 :mod:`.complexity`'s.
 
 The kernels write the bits of the scalar loops they replaced, which
@@ -48,9 +49,6 @@ import numpy as np
 from .complexity import cost, tangent, water_level
 
 log = logging.getLogger(__name__)
-
-# scheduler kernel ids, dispatched by allocate
-MRS, SWF, SCC = 0, 1, 2
 
 # position-term columns: d_serv**(s*apl), d_serv**((s-1)*apl), then
 # cross**(-apl) to the BS of each scheduled cell
@@ -334,20 +332,27 @@ def _step_down(idx, comp, rows, best, cap, rates, c0, ilz):
     return i, lg
 
 
-def _swf(mf, cap, init_c, wl0, rates, c0, ilz, budget):
+def mrs(mf, cap, init_c, lg, rates, c0, ilz, budget):
+    """Max-rate allocation: every user at its max-feasible entry, whatever
+    the budget."""
+    return mf, init_c
+
+
+def swf(mf, cap, init_c, lg, rates, c0, ilz, budget):
     """Water-level-guided reduction with a final re-add pass: while a row
     is over budget, step down the user whose operating point demands the
     highest water level; then restore dropped users at their max feasible
     entry, highest initial level first, wherever the budget allows."""
+    wl0 = _levels(mf, cap, init_c, lg, rates, c0, ilz)
     idx, comp, wl = mf.copy(), init_c.copy(), wl0.copy()
     rows = np.flatnonzero(_seq_sum(comp) > budget)
     while rows.size:
         best = wl[rows].argmax(axis=1)
         has = wl[rows, best] > -np.inf
         rows, best = rows[has], best[has]
-        i, lg = _step_down(idx, comp, rows, best, cap, rates, c0, ilz)
+        i, lg_i = _step_down(idx, comp, rows, best, cap, rates, c0, ilz)
         wl[rows, best] = _levels(
-            i, cap[rows, best], comp[rows, best], lg, rates, c0, ilz
+            i, cap[rows, best], comp[rows, best], lg_i, rates, c0, ilz
         )
         rows = rows[_seq_sum(comp[rows]) > budget]
 
@@ -366,7 +371,7 @@ def _swf(mf, cap, init_c, wl0, rates, c0, ilz, budget):
     return idx, comp
 
 
-def _scc(mf, cap, init_c, rates, c0, ilz, budget):
+def scc(mf, cap, init_c, lg, rates, c0, ilz, budget):
     """Cost-greedy reduction: while a row is over budget, step down its
     most expensive user."""
     idx, comp = mf.copy(), init_c.copy()
@@ -380,39 +385,26 @@ def _scc(mf, cap, init_c, rates, c0, ilz, budget):
     return idx, comp
 
 
-def allocate(kind, mf, cap, init_c, lg, rates, c0, ilz, budget):
-    """``(idx, comp)``: the ladder entry (``-1``: not served) and cost that
-    scheduler ``kind`` (MRS, SWF or SCC) gives each user of a block, from
-    the users' max-feasible entries ``mf``, capacities and the
-    :func:`_costs` ``(init_c, lg)`` there.  MRS ignores the budget and
-    returns ``mf`` and ``init_c`` themselves, as every kind does on a block
-    of no rows."""
-    if kind not in (MRS, SWF, SCC):
-        raise ValueError("unknown scheduler kernel id")
-    if kind == MRS or not mf.size:
-        return mf, init_c
-    if kind == SWF:
-        wl0 = _levels(mf, cap, init_c, lg, rates, c0, ilz)
-        return _swf(mf, cap, init_c, wl0, rates, c0, ilz, budget)
-    return _scc(mf, cap, init_c, rates, c0, ilz, budget)
-
-
 def schedule_block(kinds, mf, cap, rates, c0, ilz, budget):
-    """For each scheduler in ``kinds``, :func:`allocate`'s ``(idx, comp)``
-    on a block and each row's ``(sum_rate, sum_complexity)``.  The costs at
-    ``mf`` are computed once for all kinds, and the rows whose max-rate
-    cost exceeds the budget are sliced once: every other row keeps the
-    max-rate allocation, which every kind gives there."""
+    """For each scheduler in ``kinds``, its ``(idx, comp)`` on a block and
+    each row's ``(sum_rate, sum_complexity)``.  A scheduler is a function
+    ``(mf, cap, init_c, lg, rates, c0, ilz, budget) -> (idx, comp)``: from
+    the users' max-feasible entries, capacities and the :func:`_costs` at
+    ``mf``, each user's ladder entry (``-1``: not served) and cost.  The
+    costs at ``mf`` are computed once for all kinds, and the rows whose
+    max-rate cost exceeds the budget are sliced once: only those run a
+    kind other than :func:`mrs`, and every other row keeps the max-rate
+    allocation."""
     init_c, lg = _costs(mf, cap, rates, c0, ilz)
     sum_rate, sum_comp = _totals(mf, init_c, rates)
     bound = np.flatnonzero(sum_comp > budget)
     block = mf[bound], cap[bound], init_c[bound], lg[bound]
     results = []
     for kind in kinds:
-        i, c = allocate(kind, *block, rates, c0, ilz, budget)
-        if i is block[0]:  # MRS, or no row over budget
+        if kind is mrs or not bound.size:
             results.append((mf, init_c, sum_rate, sum_comp))
             continue
+        i, c = kind(*block, rates, c0, ilz, budget)
         idx, comp = mf.copy(), init_c.copy()
         idx[bound], comp[bound] = i, c
         r, k = sum_rate.copy(), sum_comp.copy()
@@ -422,23 +414,26 @@ def schedule_block(kinds, mf, cap, rates, c0, ilz, budget):
 
 
 def run_chunk(
-    u_occ, u_pos, u_fade, p_occ, pool_off, nc,
-    thresholds, rates, c0, ilz, p0, noise, terms,
+    u, p_occ, pool_off, nc, thresholds, rates, c0, ilz, p0, noise, terms,
     budget, kinds,
-    out_n_active, out,
 ):
-    """Run schedulers ``kinds`` on a block of trials, given their
-    occupancy, position and fading uniforms, and write each trial's number
-    of active users and ``out[t, j] = (sum_rate, sum_complexity)``.
-    ``terms`` is the cell set's :func:`position_terms` table."""
+    """``(n_active, sums)`` of a block of trials, given their uniform rows
+    ``u``: each trial's number of active users and ``sums[t, j] =
+    (sum_rate, sum_complexity)`` of scheduler ``kinds[j]``.  A row holds
+    the occupancy and position uniforms of each instantiated cell, then
+    the fading ones; ``terms`` is the cell set's :func:`position_terms`
+    table."""
+    n_inst = p_occ.size
     occ, sinr = _channel(
-        u_occ, u_pos, u_fade, p_occ, pool_off, nc, p0, noise, terms
+        u[:, :n_inst], u[:, n_inst: 2 * n_inst], u[:, 2 * n_inst:],
+        p_occ, pool_off, nc, p0, noise, terms,
     )
     act = occ[:, :nc]
-    out_n_active[:] = np.count_nonzero(act, axis=1)
     mf = np.where(act, max_feasible(thresholds, sinr), -1)
     cap = np.zeros(act.shape)
     cap[act] = _each(math.log2, 1.0 + sinr[act])
     results = schedule_block(kinds, mf, cap, rates, c0, ilz, budget)
+    sums = np.empty((u.shape[0], len(kinds), 2))
     for j, (_idx, _comp, sum_rate, sum_comp) in enumerate(results):
-        out[:, j, 0], out[:, j, 1] = sum_rate, sum_comp
+        sums[:, j, 0], sums[:, j, 1] = sum_rate, sum_comp
+    return np.count_nonzero(act, axis=1), sums

@@ -8,10 +8,9 @@ empirical (1-eps)-quantile of max-rate sum cost over an independent
 calibration stream; trials whose cost exceeds the budget are computational
 outages and have their recorded sum-rate zeroed (the ``unconstrained``
 series is the same allocation as ``mrs`` but is never scored against the
-budget).  Which schedulers exist, which kernel computes each and how each
-is scored against the budget is the one table :data:`SCHEDULERS`: adding a
-scheduler is one entry there, plus one branch in ``batch.allocate`` if it
-needs a new kernel.
+budget).  Which schedulers exist, which ``batch`` function computes each
+and how each is scored against the budget is the one table
+:data:`SCHEDULERS`: adding a scheduler is one entry there.
 
 Randomness is organized so every trial is a pure function of the master
 seed: trial ``t`` lives in chunk ``t // 4096`` and consumes one fixed-length
@@ -78,14 +77,15 @@ EVAL_STREAM = 1
 CALIBRATION_STREAM = 2
 AREA_STREAM = 3
 
-# name -> (kernel id, scoring against C_server): "outage" zeroes the rate
-# where the cost exceeds the budget, "fits" asserts the cost never does, None
-# leaves the run unscored
+# name -> (scheduler function of a block, scoring against C_server):
+# "outage" zeroes the rate where the cost exceeds the budget, "fits" asserts
+# the cost never does, None leaves the run unscored.  The function has the
+# signature batch.schedule_block calls it with.
 SCHEDULERS = {
-    "mrs": (kernels.MRS, "outage"),
-    "swf": (kernels.SWF, "fits"),
-    "scc": (kernels.SCC, "fits"),
-    "unconstrained": (kernels.MRS, None),
+    "mrs": (batch.mrs, "outage"),
+    "swf": (batch.swf, "fits"),
+    "scc": (batch.scc, "fits"),
+    "unconstrained": (batch.mrs, None),
 }
 
 
@@ -296,17 +296,16 @@ def _payload(
     budget: float,
     kinds,
 ) -> tuple:
-    """``(seed, stream, n_inst, row_len, block_rows, kernel_args)``;
-    ``kernel_args`` are the arguments of ``kernels.run_chunk`` between the
-    uniforms and the outputs, ending with the kernel ids to run."""
+    """``(seed, stream, row_len, block_rows, kernel_args)``;
+    ``kernel_args`` are the arguments of ``kernels.run_chunk`` after the
+    uniforms, ending with the scheduler functions to run."""
     kernel_args = (
         cells.p_occ, cells.pool_off, cells.nc,
         table.thresholds, table.rates, *model.kernel_constants(),
-        phy.p0, phy.noise_w, _position_terms(cells, phy),
-        budget, np.array(kinds, dtype=np.int64),
+        phy.p0, phy.noise_w, _position_terms(cells, phy), budget, kinds,
     )
     block_rows = max(1, BLOCK_ELEMENTS // (cells.n_inst * cells.nc))
-    return seed, stream, cells.n_inst, cells.row_len, block_rows, kernel_args
+    return seed, stream, cells.row_len, block_rows, kernel_args
 
 
 def _position_terms(cells: CellArrays, phy: PhyParams) -> np.ndarray:
@@ -331,7 +330,7 @@ def _uniform_blocks(payload: tuple, chunk_idx: int, rows: int):
     """``(a, b, u)`` per block: the chunk's uniform rows ``a:b``.  Drawn one
     block at a time, they are the doubles of ``rng.random((rows,
     row_len))``, in the same order."""
-    seed, stream, _n_inst, row_len, block_rows, _args = payload
+    seed, stream, row_len, block_rows, _args = payload
     rng = np.random.default_rng(
         np.random.SeedSequence([seed, stream, chunk_idx])
     )
@@ -341,15 +340,12 @@ def _uniform_blocks(payload: tuple, chunk_idx: int, rows: int):
 
 
 def _compute_chunk(payload: tuple, chunk_idx: int, rows: int) -> tuple:
-    """``(n_active, out)`` for one chunk; ``out`` is (rows, kernels, 2)."""
-    n_inst, kernel_args = payload[2], payload[-1]
-    n_active = np.zeros(rows, dtype=np.int64)
-    out = np.zeros((rows, len(kernel_args[-1]), 2))
+    """``(n_active, out)`` for one chunk; ``out`` is (rows, kinds, 2)."""
+    kernel_args = payload[-1]
+    n_active = np.empty(rows, dtype=np.int64)
+    out = np.empty((rows, len(kernel_args[-1]), 2))
     for a, b, u in _uniform_blocks(payload, chunk_idx, rows):
-        kernels.run_chunk(
-            u[:, :n_inst], u[:, n_inst: 2 * n_inst], u[:, 2 * n_inst:],
-            *kernel_args, n_active[a:b], out[a:b],
-        )
+        n_active[a:b], out[a:b] = kernels.run_chunk(u, *kernel_args)
     return n_active, out
 
 
@@ -443,7 +439,7 @@ def calibrate_budget(
     cells = campaign_cells(config, geometry)
     payload = _payload(
         cells, config.table, config.model, config.phy,
-        config.seed, CALIBRATION_STREAM, budget=math.inf, kinds=[kernels.MRS],
+        config.seed, CALIBRATION_STREAM, budget=math.inf, kinds=[batch.mrs],
     )
     cost = _run_chunks(payload, trials, config.workers)[1][:, 0, 1]
     c_server = float(np.sort(cost)[trials - 1 - k])
@@ -477,7 +473,7 @@ def run_campaign(
     elif not c_server >= 0.0:
         raise ValueError(f"c_server must be >= 0, got {c_server}")
 
-    # each kernel runs once, however many schedulers share it
+    # each function runs once, however many schedulers share it
     kinds = list(dict.fromkeys(SCHEDULERS[n][0] for n in config.schedulers))
     cells = campaign_cells(config, geometry)
     payload = _payload(

@@ -4,8 +4,8 @@ Each function here runs :mod:`.batch`, the one implementation, on a block
 of one row, with the per-trial signature and output arrays of the scalar
 loops it replaced (``tests/scalar_kernels.py``).  The campaign calls
 :data:`run_chunk`, which is ``batch.run_chunk``, through this module's
-attribute; the library (``sched``, ``netsim``) calls the per-trial kernels,
-and the campaign benchmark's traced run replays trials through them.
+attribute; ``netsim`` calls the per-trial draw and SINR kernels, and the
+campaign benchmark's traced run replays trials through all of them.
 
 Scheduling kernels take one trial's active users, break argmax ties toward
 the lowest array position and write each user's ladder entry (``-1``: not
@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import batch
-from .batch import MRS, SCC, SWF, run_chunk  # noqa: F401
+from .batch import run_chunk  # noqa: F401
 
 BACKEND = "numpy"
 
@@ -26,8 +26,9 @@ NUMBA_ENABLED = False
 
 
 def schedule(kind, sinr, cap, thresholds, rates, c0, ilz, budget, idx, comp):
-    """Run scheduler ``kind`` (MRS, SWF or SCC) on one trial's active users;
-    returns ``(sum_rate, sum_complexity)``.  MRS ignores the budget."""
+    """Run scheduler ``kind`` (``batch.mrs``, ``swf`` or ``scc``) on one
+    trial's active users; returns ``(sum_rate, sum_complexity)``.  Max-rate
+    ignores the budget."""
     n = sinr.shape[0]
     mf = batch.max_feasible(thresholds, sinr)[None]
     [(i, c, sum_rate, sum_comp)] = batch.schedule_block(
@@ -40,7 +41,7 @@ def schedule(kind, sinr, cap, thresholds, rates, c0, ilz, budget, idx, comp):
 def mrs_trial(sinr, cap, thresholds, rates, c0, ilz, idx, comp):
     """Max-rate allocation: every user at its highest feasible entry."""
     return schedule(
-        MRS, sinr, cap, thresholds, rates, c0, ilz, np.inf, idx, comp
+        batch.mrs, sinr, cap, thresholds, rates, c0, ilz, np.inf, idx, comp
     )
 
 
@@ -52,14 +53,14 @@ def swf_trial(sinr, cap, thresholds, rates, c0, ilz, budget, drop_prep, idx, com
     if drop_prep:
         raise ValueError("swf_trial has no drop_prep pre-pass; pass False")
     return schedule(
-        SWF, sinr, cap, thresholds, rates, c0, ilz, budget, idx, comp
+        batch.swf, sinr, cap, thresholds, rates, c0, ilz, budget, idx, comp
     )
 
 
 def scc_trial(sinr, cap, thresholds, rates, c0, ilz, budget, idx, comp):
     """Cost-greedy MCS reduction: step down the most expensive user."""
     return schedule(
-        SCC, sinr, cap, thresholds, rates, c0, ilz, budget, idx, comp
+        batch.scc, sinr, cap, thresholds, rates, c0, ilz, budget, idx, comp
     )
 
 

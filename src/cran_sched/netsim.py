@@ -214,7 +214,6 @@ class TrialDraw:
     serving_distance: np.ndarray    # (n_inst,) km, NaN when empty
     cross_distance: np.ndarray      # (n_inst, nc) km, NaN when empty
     fading: np.ndarray              # (n_inst, nc) gains, > 0
-    rng_seed: object                # seed the draw derives from
 
     @property
     def n_active(self) -> int:
@@ -531,7 +530,7 @@ def assemble_cells(
     )
 
 
-def draw_from_row(cells: CellArrays, row: np.ndarray, rng_seed) -> TrialDraw:
+def draw_from_row(cells: CellArrays, row: np.ndarray) -> TrialDraw:
     """Deterministically map one uniform row to a :class:`TrialDraw`."""
     n_inst, nc = cells.n_inst, cells.nc
     if row.shape != (cells.row_len,):
@@ -557,7 +556,6 @@ def draw_from_row(cells: CellArrays, row: np.ndarray, rng_seed) -> TrialDraw:
         serving_distance=d_serv,
         cross_distance=cross_d,
         fading=fading,
-        rng_seed=rng_seed,
     )
 
 
@@ -577,7 +575,7 @@ def draw_trial(
         cells = assemble_cells(layout, geometry, phy)
     rng = np.random.default_rng(seed)
     row = rng.random(cells.row_len)
-    return draw_from_row(cells, row, seed)
+    return draw_from_row(cells, row)
 
 
 def uplink_sinr_all(draw: TrialDraw, phy: PhyParams) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Uplink rate allocation under a sum decoding-cost budget.
 
-Three discrete allocators run the batched kernels of :mod:`.batch` on one
-trial through :mod:`.kernels`: ``mrs`` (every user at its highest feasible
+Three discrete allocators run the batched schedulers of :mod:`.batch` on a
+block of one trial: ``mrs`` (every user at its highest feasible
 entry, no budget), ``swf_discrete`` (water-level-guided step-down with a
 re-add pass, close to the continuous optimum) and ``scc`` (step down the
 most expensive user, a cheaper heuristic).  ``continuous_waterfill`` solves
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import batch, kernels
+from . import batch
 from .complexity import (
     DomainError,
     LinearizationCoeffs,
@@ -194,7 +194,8 @@ def continuous_waterfill(
 def _user_arrays(
     users: list[UserChannel], table: McsTable
 ) -> tuple[np.ndarray, np.ndarray]:
-    """SINR/capacity arrays in input order, with the gap guard pre-checked.
+    """Max-feasible entry and capacity arrays in input order, with the gap
+    guard pre-checked.
 
     The greedy kernels take ``log2`` of the capacity gap at the max feasible
     entry, so any user sitting closer than GAP_GUARD to capacity is rejected
@@ -207,7 +208,7 @@ def _user_arrays(
         _guarded_capacity(u.sinr, table.rates[i]) if i >= 0 else u.capacity
         for u, i in zip(users, mf)
     ], dtype=np.float64)
-    return sinr, cap
+    return mf, cap
 
 
 def _build_allocation(
@@ -237,28 +238,25 @@ def _build_allocation(
 
 
 def _allocate(
-    kind: int,
+    kind,
     users: list[UserChannel],
     table: McsTable,
     params: ModelParams,
     budget: float | None,
 ) -> RateAllocation:
-    """Run scheduler kernel ``kind`` on ``users`` (``budget`` None: no
-    budget, for the max-rate kernel)."""
+    """Run scheduler function ``kind`` of :mod:`.batch` on ``users``
+    (``budget`` None: no budget, for max-rate)."""
     if budget is not None:
         budget = float(budget)
         if not budget >= 0.0:
             raise ValueError(f"budget must be >= 0, got {budget}")
-    sinr, cap = _user_arrays(users, table)
-    idx = np.empty(len(users), np.int64)
-    comp = np.empty(len(users), np.float64)
-    sum_rate, sum_comp = kernels.schedule(
-        kind, sinr, cap, table.thresholds, table.rates,
-        *params.kernel_constants(),
-        math.inf if budget is None else budget, idx, comp,
+    mf, cap = _user_arrays(users, table)
+    [(idx, comp, sum_rate, sum_comp)] = batch.schedule_block(
+        [kind], mf[None], cap[None], table.rates, *params.kernel_constants(),
+        math.inf if budget is None else budget,
     )
     return _build_allocation(
-        users, table, idx, comp, sum_rate, sum_comp, budget
+        users, table, idx[0], comp[0], sum_rate[0], sum_comp[0], budget
     )
 
 
@@ -266,7 +264,7 @@ def mrs(
     users: list[UserChannel], table: McsTable, params: ModelParams
 ) -> RateAllocation:
     """Max-rate selection: every user at its highest feasible ladder entry."""
-    return _allocate(kernels.MRS, users, table, params, None)
+    return _allocate(batch.mrs, users, table, params, None)
 
 
 def swf_discrete(
@@ -283,7 +281,7 @@ def swf_discrete(
     re-admits dropped users, highest water level at their max feasible entry
     first, wherever the budget allows.
     """
-    return _allocate(kernels.SWF, users, table, params, budget)
+    return _allocate(batch.swf, users, table, params, budget)
 
 
 def scc(
@@ -294,4 +292,4 @@ def scc(
 ) -> RateAllocation:
     """Cost-greedy allocation: step down the most expensive user until the
     total cost fits the budget (ties to the earliest user)."""
-    return _allocate(kernels.SCC, users, table, params, budget)
+    return _allocate(batch.scc, users, table, params, budget)

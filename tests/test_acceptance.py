@@ -377,7 +377,6 @@ def _single_link_draw(distance: float) -> TrialDraw:
         serving_distance=np.array([distance]),
         cross_distance=np.array([[distance]]),
         fading=np.array([[1.0]]),
-        rng_seed=None,
     )
 
 

@@ -35,7 +35,7 @@ from cran_sched import (
     write_summary_csv,
     write_sweep_csv,
 )
-from cran_sched import cli, harness, kernels
+from cran_sched import batch, cli, harness
 from cran_sched.harness import SCHEDULERS
 
 BENCH_CONFIGS = os.path.join(
@@ -128,7 +128,7 @@ def all_exact_costs(cfg):
     cells = harness.campaign_cells(cfg, harness.campaign_geometry(cfg))
     payload = harness._payload(
         cells, cfg.table, cfg.model, cfg.phy, cfg.seed,
-        harness.CALIBRATION_STREAM, math.inf, [kernels.MRS],
+        harness.CALIBRATION_STREAM, math.inf, [batch.mrs],
     )
     trials = cfg.calibration_trials or cfg.n_trials
     _n_active, out = harness._run_chunks(payload, trials, 1)
@@ -179,7 +179,7 @@ def test_trial_with_a_sinr_on_a_threshold_is_recomputed():
     ).random((50, cells.row_len))
     thresholds = cfg.table.thresholds.copy()
     for t, row in enumerate(rows):
-        draw = draw_from_row(cells, row, None)
+        draw = draw_from_row(cells, row)
         sinr = uplink_sinr_all(draw, cfg.phy)
         on = [
             k for k in range(cells.nc)
@@ -437,7 +437,7 @@ def test_fits_rule_names_scheduler_and_trial(campaign, monkeypatch):
     # scoring max-rate allocations as "fits" must trip on the first trial
     # whose cost exceeds the budget
     cfg, res = campaign
-    monkeypatch.setitem(harness.SCHEDULERS, "swf", (kernels.MRS, "fits"))
+    monkeypatch.setitem(harness.SCHEDULERS, "swf", (batch.mrs, "fits"))
     first = int(np.argmax(res.series["mrs"].outage))
     assert res.series["mrs"].outage[first]
     with pytest.raises(
@@ -450,6 +450,43 @@ def test_fits_rule_names_scheduler_and_trial(campaign, monkeypatch):
         )
 
 
+def test_a_new_scheduler_is_one_table_entry(campaign, monkeypatch):
+    # a scheduler that serves no user, added by its SCHEDULERS entry alone,
+    # runs on the campaign's draws and leaves the other series as they were.
+    # At a zero budget it runs on every trial of positive max-rate cost; a
+    # trial whose served users all cost 0.0 (the cost is clamped at zero)
+    # fits the budget and keeps the max-rate allocation, as every scheduler
+    # does there
+    cfg, _res = campaign
+    cfg = dataclasses.replace(cfg, epsilon=None, c_server=0.0)
+    base = run_campaign(cfg)
+
+    def idle(mf, cap, init_c, lg, rates, c0, ilz, budget):
+        return np.full_like(mf, -1), np.zeros_like(init_c)
+
+    monkeypatch.setitem(harness.SCHEDULERS, "idle", (idle, "fits"))
+    res = run_campaign(
+        dataclasses.replace(cfg, schedulers=cfg.schedulers + ("idle",))
+    )
+    idle_series = res.series["idle"]
+    max_rate = base.series["unconstrained"]
+    ran = max_rate.sum_complexity > 0.0
+    assert ran.mean() > 0.5
+    assert not idle_series.sum_rate[ran].any()
+    np.testing.assert_array_equal(
+        idle_series.sum_rate[~ran], max_rate.sum_rate[~ran]
+    )
+    assert not idle_series.sum_complexity.any()
+    assert not idle_series.outage.any()
+    np.testing.assert_array_equal(res.n_active, base.n_active)
+    for name in cfg.schedulers:
+        for field in ("sum_rate", "sum_complexity", "outage"):
+            np.testing.assert_array_equal(
+                getattr(res.series[name], field),
+                getattr(base.series[name], field),
+            )
+
+
 def test_library_allocations_equal_the_campaign(campaign):
     # replay the first evaluation chunk through the library API: the
     # allocators must return the campaign's sums bit for bit
@@ -459,7 +496,7 @@ def test_library_allocations_equal_the_campaign(campaign):
         np.random.SeedSequence([cfg.seed, harness.EVAL_STREAM, 0])
     ).random((harness.CHUNK_TRIALS, cells.row_len))
     for t, row in enumerate(rows):
-        draw = draw_from_row(cells, row, None)
+        draw = draw_from_row(cells, row)
         sinr = uplink_sinr_all(draw, cfg.phy)
         users = [
             UserChannel(k, float(sinr[k]))

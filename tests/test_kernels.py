@@ -50,7 +50,13 @@ BENCH_CONFIGS = os.path.join(
     "campaign_bench", "configs",
 )
 BENCH_WORKLOADS = ("reference", "interference", "tight-budget")
-ALL_KINDS = [kernels.MRS, kernels.SWF, kernels.SCC]
+ALL_KINDS = [batch.mrs, batch.swf, batch.scc]
+# the scalar oracle's scheduler id of each batched scheduler function
+SCALAR_IDS = {
+    batch.mrs: scalar_kernels.MRS,
+    batch.swf: scalar_kernels.SWF,
+    batch.scc: scalar_kernels.SCC,
+}
 
 PUBLIC_KERNELS = (
     "draw_arrays", "sinr_trial", "mrs_trial", "swf_trial", "scc_trial",
@@ -86,8 +92,8 @@ def test_importing_the_package_does_not_try_numba(tmp_path):
 
 
 def kernel_args(cells, config, budget, kinds=ALL_KINDS):
-    """Arguments of ``batch.run_chunk`` between the uniforms and the
-    outputs, as the campaign passes them."""
+    """Arguments of ``batch.run_chunk`` after the uniforms, as the campaign
+    passes them."""
     return harness._payload(
         cells, config.table, config.model, config.phy, config.seed,
         harness.EVAL_STREAM, budget, kinds,
@@ -104,7 +110,7 @@ def scalar_args(cells, config, budget, kinds=ALL_KINDS):
         config.table.thresholds, config.table.rates,
         *config.model.kernel_constants(),
         phy.p0, phy.noise_w, phy.pathloss_exponent, phy.s,
-        budget, np.array(kinds, dtype=np.int64),
+        budget, np.array([SCALAR_IDS[k] for k in kinds], dtype=np.int64),
     )
 
 
@@ -148,9 +154,8 @@ def assert_paths_equal(u, cells, config, budget, kinds=ALL_KINDS):
     got_n = np.zeros(rows, np.int64)
     got = np.zeros((rows, len(kinds), 2))
     for a in range(0, rows, step):
-        b = a + step
-        batch.run_chunk(
-            *split(u[a:b], cells.n_inst), *args, got_n[a:b], got[a:b]
+        got_n[a: a + step], got[a: a + step] = batch.run_chunk(
+            u[a: a + step], *args
         )
     assert_outputs_equal(
         (got_n, got),
@@ -187,7 +192,7 @@ def bench_campaign(workload):
 def test_batched_chunks_equal_scalar_on_benchmark_workloads(workload, rows):
     config, cells, budget = bench_campaign(workload)
     streams = (
-        (harness.CALIBRATION_STREAM, math.inf, [kernels.MRS]),
+        (harness.CALIBRATION_STREAM, math.inf, [batch.mrs]),
         (harness.EVAL_STREAM, budget, ALL_KINDS),
     )
     for stream, stream_budget, kinds in streams:
@@ -324,9 +329,9 @@ def test_batched_sinr_exactly_on_a_threshold():
 def scalar_chunk(payload, chunk, rows, args):
     """The scalar chunk loop, given its :func:`scalar_args`, on the chunk's
     uniforms, drawn in one piece."""
-    seed, stream, n_inst, row_len, _block_rows, _args = payload
+    seed, stream, row_len, _block_rows, _args = payload
     return scalar_run(
-        uniforms(seed, stream, chunk, rows, row_len), n_inst, args
+        uniforms(seed, stream, chunk, rows, row_len), args[0].size, args
     )
 
 
@@ -353,7 +358,7 @@ def test_uniform_blocks_equal_the_one_shot_draw():
         harness.EVAL_STREAM, 3.0, ALL_KINDS,
     )
     step = block_rows(cells)
-    assert payload[4] == step and step * cells.n_inst * cells.nc <= (
+    assert payload[3] == step and step * cells.n_inst * cells.nc <= (
         harness.BLOCK_ELEMENTS
     )
     rows = 2 * step + 7

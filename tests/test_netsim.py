@@ -437,7 +437,7 @@ def test_draw_per_cell_occupancy_matches_probability():
     rows = rng.random((n, cells.row_len))
     hits = np.zeros(cells.n_inst)
     for t in range(n):
-        hits += draw_from_row(cells, rows[t], None).occupied
+        hits += draw_from_row(cells, rows[t]).occupied
     p_hat = hits / n
     sigma = np.sqrt(cells.p_occ * (1.0 - cells.p_occ) / n)
     assert np.all(np.abs(p_hat - cells.p_occ) <= 3.0 * sigma)
@@ -466,7 +466,7 @@ def test_draw_from_row_validates_length():
     lay, geo, phy = small_system()
     cells = assemble_cells(lay, geo, phy)
     with pytest.raises(ValueError, match="row of length"):
-        draw_from_row(cells, np.zeros(cells.row_len - 1), None)
+        draw_from_row(cells, np.zeros(cells.row_len - 1))
 
 
 def test_assemble_cells_validation():
@@ -513,7 +513,6 @@ def manual_draw(nc, occupied, d_serv, cross_d, fading):
         serving_distance=np.asarray(d_serv, dtype=np.float64),
         cross_distance=np.asarray(cross_d, dtype=np.float64),
         fading=np.asarray(fading, dtype=np.float64),
-        rng_seed=None,
     )
 
 
