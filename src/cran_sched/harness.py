@@ -191,17 +191,6 @@ class CampaignResult:
         ref = self.series["unconstrained"].mean_sum_rate
         return (ref - self.series[scheduler].mean_sum_rate) / ref
 
-    def cdf(self, scheduler: str, metric: str) -> np.ndarray:
-        series = self.series[scheduler]
-        if metric == "sum_rate":
-            return empirical_cdf(series.sum_rate)
-        if metric == "sum_complexity":
-            return empirical_cdf(series.sum_complexity)
-        raise ValueError(
-            f"unknown metric {metric!r} "
-            f"(expected 'sum_rate' or 'sum_complexity')"
-        )
-
 
 def empirical_cdf(samples) -> np.ndarray:
     """Right-continuous CDF table: (value, fraction <= value) rows."""

@@ -2,10 +2,9 @@
 
 Each function here runs :mod:`.batch`, the one implementation, on a block
 of one row, with the per-trial signature and output arrays of the scalar
-loops it replaced (``tests/scalar_kernels.py``).  The campaign calls
-:data:`run_chunk`, which is ``batch.run_chunk``, through this module's
-attribute; ``netsim`` calls the per-trial draw and SINR kernels, and the
-campaign benchmark's traced run replays trials through all of them.
+loops it replaced (``tests/scalar_kernels.py``); they serve only the
+campaign benchmark's traced replay.  The campaign calls :data:`run_chunk`,
+which is ``batch.run_chunk``, through this module's attribute.
 
 Scheduling kernels take one trial's active users, break argmax ties toward
 the lowest array position and write each user's ladder entry (``-1``: not
@@ -21,7 +20,7 @@ from .batch import run_chunk  # noqa: F401
 
 BACKEND = "numpy"
 
-# read by the campaign benchmark's run report; leaves with ROADMAP item 3
+# read by the campaign benchmark's run report; leaves with ROADMAP item 4
 NUMBA_ENABLED = False
 
 
@@ -71,10 +70,8 @@ def draw_arrays(
     """Turn one trial's uniforms into occupancy, positions, distances, gains.
 
     Cells ``0..nc-1`` are the scheduled ones; any further instantiated cells
-    contribute interference only.  All variates are consumed unconditionally
-    (one position uniform per instantiated cell, one fading uniform per
-    instantiated-cell x scheduled-cell pair) so a trial's draw depends only
-    on its uniform row, never on which cells happen to be occupied.
+    contribute interference only.  Every uniform of the row is used,
+    whichever cells are occupied (see ``netsim.CellArrays.row_len``).
     Unoccupied cells get NaN positions and distances; every pair gets its
     fading gain.  Returns the number of occupied scheduled cells.
     """

@@ -1,4 +1,4 @@
-"""System-level channel generator: layouts, cells, user placement, SINR.
+"""Network geometry: layouts, cell areas and each cell set's model arrays.
 
 A layout is a set of base-station positions in a rectangular arena with a
 designated subset of centrally processed cells.  Cells are the Voronoi
@@ -20,8 +20,8 @@ with i ranging over the other occupied instantiated cells.  By default only
 the scheduled cells are instantiated; callers may add further
 interference-only cells (see :func:`assemble_cells`).
 
-Every random quantity is a fixed-length transform of one uniform row, so a
-trial is a pure function of its seed (see :mod:`.kernels`).
+:mod:`.batch` draws each trial from one uniform row of fixed length, so a
+trial is a pure function of its seed.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import kernels
 
 # distances below 10 m are clamped to keep the path-loss model sane
 MIN_DISTANCE_KM = 0.01
@@ -197,30 +195,6 @@ class CellArrays:
         return 2 * self.n_inst + self.n_inst * self.nc
 
 
-@dataclass(frozen=True)
-class TrialDraw:
-    """One trial's channel realization over a set of instantiated cells.
-
-    Arrays are indexed by instantiated-cell position (scheduled cells
-    first); unoccupied cells carry NaN positions/distances.  ``fading`` has
-    one unit-mean exponential gain per (instantiated cell, scheduled cell)
-    pair, row i being the gains from cell i's user towards each scheduled
-    BS.
-    """
-
-    cells: CellArrays
-    occupied: np.ndarray            # (n_inst,) bool
-    positions: np.ndarray           # (n_inst, 2) km, NaN when empty
-    serving_distance: np.ndarray    # (n_inst,) km, NaN when empty
-    cross_distance: np.ndarray      # (n_inst, nc) km, NaN when empty
-    fading: np.ndarray              # (n_inst, nc) gains, > 0
-
-    @property
-    def n_active(self) -> int:
-        """Occupied scheduled cells."""
-        return int(np.count_nonzero(self.occupied[: self.cells.nc]))
-
-
 def occupancy_probability(phy: PhyParams, area: float) -> float:
     """Probability ``1 - exp(-lambda * area)`` that a cell holds a user."""
     return -math.expm1(-phy.lambda_density * area)
@@ -313,9 +287,13 @@ def load_layout(source) -> NetworkLayout:
                 continue
             try:
                 if text.startswith("centralized:"):
+                    if central is not None:
+                        raise ValueError("repeated 'centralized:' header")
                     ids = text.removeprefix("centralized:").split(",")
                     central = tuple(int(t.strip()) for t in ids)
                 elif text.startswith("arena:"):
+                    if arena is not None:
+                        raise ValueError("repeated 'arena:' header")
                     vals = text.removeprefix("arena:").split(",")
                     if len(vals) != 4:
                         raise ValueError("expected 4 comma-separated values")
@@ -528,73 +506,3 @@ def assemble_cells(
         pool_off=pool_off,
         bs_xy=np.ascontiguousarray(layout.bs_positions[list(all_ids)]),
     )
-
-
-def draw_from_row(cells: CellArrays, row: np.ndarray) -> TrialDraw:
-    """Deterministically map one uniform row to a :class:`TrialDraw`."""
-    n_inst, nc = cells.n_inst, cells.nc
-    if row.shape != (cells.row_len,):
-        raise ValueError(
-            f"expected a uniform row of length {cells.row_len}, "
-            f"got shape {row.shape}"
-        )
-    occ = np.empty(n_inst, np.bool_)
-    pos = np.empty((n_inst, 2), np.float64)
-    d_serv = np.empty(n_inst, np.float64)
-    cross_d = np.empty((n_inst, nc), np.float64)
-    fading = np.empty((n_inst, nc), np.float64)
-    kernels.draw_arrays(
-        row[:n_inst], row[n_inst: 2 * n_inst], row[2 * n_inst:],
-        cells.p_occ, cells.pool_xy, cells.pool_off, cells.bs_xy,
-        MIN_DISTANCE_KM, nc,
-        occ, pos, d_serv, cross_d, fading,
-    )
-    return TrialDraw(
-        cells=cells,
-        occupied=occ,
-        positions=pos,
-        serving_distance=d_serv,
-        cross_distance=cross_d,
-        fading=fading,
-    )
-
-
-def draw_trial(
-    layout: NetworkLayout,
-    geometry: CellGeometry,
-    phy: PhyParams,
-    seed,
-    cells: CellArrays | None = None,
-) -> TrialDraw:
-    """Draw one trial over the centralized cells (or over ``cells``).
-
-    ``seed`` may be anything ``numpy.random.default_rng`` accepts; the draw
-    is a pure function of it.
-    """
-    if cells is None:
-        cells = assemble_cells(layout, geometry, phy)
-    rng = np.random.default_rng(seed)
-    row = rng.random(cells.row_len)
-    return draw_from_row(cells, row)
-
-
-def uplink_sinr_all(draw: TrialDraw, phy: PhyParams) -> np.ndarray:
-    """Linear SINR for every scheduled cell; -1.0 marks unoccupied cells."""
-    sinr = np.empty(draw.cells.nc, np.float64)
-    kernels.sinr_trial(
-        draw.occupied, draw.serving_distance, draw.cross_distance,
-        draw.fading, phy.p0, phy.noise_w, phy.pathloss_exponent, phy.s,
-        draw.cells.nc, sinr,
-    )
-    return sinr
-
-
-def uplink_sinr(draw: TrialDraw, phy: PhyParams, k: int) -> float:
-    """Linear uplink SINR of scheduled cell ``k`` (must be occupied)."""
-    if not 0 <= k < draw.cells.nc:
-        raise ValueError(
-            f"cell index {k} out of range for {draw.cells.nc} scheduled cells"
-        )
-    if not draw.occupied[k]:
-        raise ValueError(f"cell {k} is not occupied in this trial")
-    return float(uplink_sinr_all(draw, phy)[k])

@@ -22,10 +22,8 @@ import conftest
 from cran_sched import (
     Arena,
     CampaignConfig,
-    CellArrays,
     ModelParams,
     PhyParams,
-    TrialDraw,
     UserChannel,
     budget_from_samples,
     build_table,
@@ -46,8 +44,8 @@ from cran_sched import (
     swf_discrete,
     sweep_lambda,
     sweep_nc,
-    uplink_sinr,
 )
+from cran_sched import batch
 from cran_sched.cli import main as cli_main
 
 EPS_GRID = (0.1, 0.01, 0.001)
@@ -366,20 +364,6 @@ def test_criterion_08_greedy_schedulers_near_exhaustive_optimum():
     assert shares["swf"] >= 0.95 and shares["scc"] >= 0.95
 
 
-def _single_link_draw(distance: float) -> TrialDraw:
-    cells = CellArrays(
-        cell_ids=(0,), nc=1, p_occ=np.ones(1), pool_xy=np.zeros((1, 2)),
-        pool_off=np.arange(2, dtype=np.int64), bs_xy=np.zeros((1, 2)),
-    )
-    return TrialDraw(
-        cells=cells, occupied=np.array([True]),
-        positions=np.zeros((1, 2)),
-        serving_distance=np.array([distance]),
-        cross_distance=np.array([[distance]]),
-        fading=np.array([[1.0]]),
-    )
-
-
 def _implementation_values():
     co1 = linearize(PARAMS, 3.0, 1.0)
     co2 = linearize(PARAMS, 3.0, 0.5)
@@ -400,6 +384,12 @@ def _implementation_values():
     assert a_scc.sum_complexity == a_swf.sum_complexity
 
     phy = PhyParams()
+    # one user alone in its cell at 1 km and one at 2 km, unit fading
+    single_link = batch.sinr_from_distances(
+        np.ones((2, 1), dtype=bool), np.array([[1.0], [2.0]]),
+        np.array([[[1.0]], [[2.0]]]), np.ones((2, 1, 1)), 1,
+        phy.p0, phy.noise_w, phy.pathloss_exponent, phy.s,
+    )
     sec = {
         "complexity model": {
             "k_factor(0.2, 0.1)": PARAMS.k_eps,
@@ -463,8 +453,8 @@ def _implementation_values():
                 a_swf.sum_complexity,
         },
         "uplink sinr compositions": {
-            "sinr(d=1, h=1)": uplink_sinr(_single_link_draw(1.0), phy, 0),
-            "sinr(d=2, h=1)": uplink_sinr(_single_link_draw(2.0), phy, 0),
+            "sinr(d=1, h=1)": float(single_link[0, 0]),
+            "sinr(d=2, h=1)": float(single_link[1, 0]),
         },
         "budget quantile rule": {
             "quantile({1..10}, 0.10)": budget_from_samples(range(1, 11), 0.10),

@@ -19,7 +19,6 @@ from cran_sched import (
     budget_from_samples,
     calibrate_budget,
     default_table,
-    draw_from_row,
     empirical_cdf,
     generate_layout,
     mrs,
@@ -28,7 +27,6 @@ from cran_sched import (
     sweep_lambda,
     sweep_nc,
     swf_discrete,
-    uplink_sinr_all,
     write_cdf_csvs,
     write_manifest,
     write_per_trial_csv,
@@ -135,6 +133,18 @@ def all_exact_costs(cfg):
     return out[:, 0, 1]
 
 
+def trial_channels(cfg, cells, rows):
+    """Each trial's occupancy and SINR, computed from its uniform row as
+    the campaign computes them (``batch._channel`` on the campaign's
+    position-term table); the SINR of an unoccupied cell is unspecified."""
+    n = cells.n_inst
+    return batch._channel(
+        rows[:, :n], rows[:, n: 2 * n], rows[:, 2 * n:], cells.p_occ,
+        cells.pool_off, cells.nc, cfg.phy.p0, cfg.phy.noise_w,
+        harness._position_terms(cells, cfg.phy),
+    )
+
+
 def all_exact_budget(cfg):
     """The all-exact calibration: the quantile rule over every exact
     cost."""
@@ -178,12 +188,10 @@ def test_trial_with_a_sinr_on_a_threshold_is_recomputed():
         np.random.SeedSequence([cfg.seed, harness.CALIBRATION_STREAM, 0])
     ).random((50, cells.row_len))
     thresholds = cfg.table.thresholds.copy()
-    for t, row in enumerate(rows):
-        draw = draw_from_row(cells, row)
-        sinr = uplink_sinr_all(draw, cfg.phy)
+    occupied, sinrs = trial_channels(cfg, cells, rows)
+    for t, (occ, sinr) in enumerate(zip(occupied, sinrs)):
         on = [
-            k for k in range(cells.nc)
-            if draw.occupied[k] and sinr[k] >= thresholds[0]
+            k for k in range(cells.nc) if occ[k] and sinr[k] >= thresholds[0]
         ]
         if on:
             break
@@ -195,9 +203,7 @@ def test_trial_with_a_sinr_on_a_threshold_is_recomputed():
     )
     assert calibrate_budget(cfg) == all_exact_budget(cfg)
     users = [
-        UserChannel(k, float(sinr[k]))
-        for k in range(cells.nc)
-        if draw.occupied[k]
+        UserChannel(k, float(sinr[k])) for k in range(cells.nc) if occ[k]
     ]
     alloc = mrs(users, cfg.table, cfg.model)
     assert all_exact_costs(cfg)[t] == alloc.sum_complexity
@@ -380,10 +386,6 @@ def test_result_accessors(campaign):
     )
     assert 0.0 <= loss < 1.0
 
-    table = res.cdf("mrs", "sum_rate")
-    assert table[-1, 1] == 1.0
-    with pytest.raises(ValueError, match="metric"):
-        res.cdf("mrs", "median")
 
 
 def test_campaign_deterministic_and_worker_invariant(campaign):
@@ -495,13 +497,10 @@ def test_library_allocations_equal_the_campaign(campaign):
     rows = np.random.default_rng(
         np.random.SeedSequence([cfg.seed, harness.EVAL_STREAM, 0])
     ).random((harness.CHUNK_TRIALS, cells.row_len))
-    for t, row in enumerate(rows):
-        draw = draw_from_row(cells, row)
-        sinr = uplink_sinr_all(draw, cfg.phy)
+    occupied, sinrs = trial_channels(cfg, cells, rows)
+    for t, (occ, sinr) in enumerate(zip(occupied, sinrs)):
         users = [
-            UserChannel(k, float(sinr[k]))
-            for k in range(cells.nc)
-            if draw.occupied[k]
+            UserChannel(k, float(sinr[k])) for k in range(cells.nc) if occ[k]
         ]
         for name, alloc in (
             ("unconstrained", mrs(users, cfg.table, cfg.model)),
@@ -687,8 +686,9 @@ def reference_files(res) -> dict[str, str]:
     files = {"per_trial.csv": "\n".join(lines) + "\n"}
     for name in res.schedulers:
         for metric in ("sum_rate", "sum_complexity"):
+            table = empirical_cdf(getattr(res.series[name], metric))
             rows = ["value,fraction"]
-            rows.extend(f"{v!r},{f!r}" for v, f in res.cdf(name, metric).tolist())
+            rows.extend(f"{v!r},{f!r}" for v, f in table.tolist())
             files[f"cdf_{name}_{metric}.csv"] = "\n".join(rows) + "\n"
     return files
 
@@ -764,7 +764,7 @@ def test_cdf_csvs(campaign, tmp_path):
     assert name in paths
     lines = open(name).read().splitlines()
     assert lines[0] == "value,fraction"
-    table = res.cdf("swf", "sum_rate")
+    table = empirical_cdf(res.series["swf"].sum_rate)
     assert len(lines) == 1 + len(table)
     last = lines[-1].split(",")
     assert float(last[0]) == table[-1, 0] and float(last[1]) == 1.0
@@ -778,9 +778,8 @@ def test_each_cdf_csv_holds_its_own_table(campaign, tmp_path):
     for name in res.schedulers:
         for metric in ("sum_rate", "sum_complexity"):
             text = (tmp_path / f"cdf_{name}_{metric}.csv").read_text()
-            rows = "".join(
-                f"{v!r},{f!r}\n" for v, f in res.cdf(name, metric).tolist()
-            )
+            table = empirical_cdf(getattr(res.series[name], metric))
+            rows = "".join(f"{v!r},{f!r}\n" for v, f in table.tolist())
             assert text == "value,fraction\n" + rows, (name, metric)
     assert (tmp_path / "cdf_mrs_sum_complexity.csv").read_bytes() == (
         tmp_path / "cdf_unconstrained_sum_complexity.csv"

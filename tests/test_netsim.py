@@ -1,4 +1,5 @@
-"""Tests for layouts, cell geometry, trial draws and the uplink SINR."""
+"""Tests for layouts, cell geometry, and the trial draws and uplink SINR
+of ``batch``'s block functions."""
 
 import math
 import os
@@ -11,24 +12,18 @@ import pytest
 from cran_sched import (
     MIN_DISTANCE_KM,
     Arena,
-    CellArrays,
     LayoutError,
     NetworkLayout,
     PhyParams,
-    TrialDraw,
     assemble_cells,
-    draw_from_row,
-    draw_trial,
     estimate_cell_areas,
     generate_layout,
     load_layout,
     most_central_ids,
     occupancy_probability,
     save_layout,
-    uplink_sinr,
-    uplink_sinr_all,
 )
-from cran_sched import netsim
+from cran_sched import batch, netsim
 
 SINR_D1 = 100.0                  # p0=10, W=0.1, d=1 km, no interferers
 SINR_D2 = 9.9442060469364834     # same link at d=2 km: 100 * 2**(0.37 - 3.7)
@@ -135,6 +130,25 @@ def test_load_layout_errors(tmp_path):
     f = tmp_path / "lineno.txt"
     f.write_text("centralized: 0\n0,1.0,1.0\n1,x,2.0\n")
     with pytest.raises(LayoutError, match="lineno.txt:3"):
+        load_layout(f)
+
+
+@pytest.mark.parametrize(
+    "name, body",
+    [
+        ("centralized", "centralized: 0\n0,1,1\n1,2,2\ncentralized: 1\n"),
+        ("arena", "centralized: 0\narena: 0,0,5,5\n0,1,1\narena: 0,0,9,9\n"),
+    ],
+    ids=["centralized", "arena"],
+)
+def test_load_layout_rejects_a_repeated_header(name, body, tmp_path):
+    # each header appears at most once: a second one is an error at its
+    # line, not an override
+    f = tmp_path / "twice.txt"
+    f.write_text(body)
+    with pytest.raises(
+        LayoutError, match=f"twice.txt:4: repeated '{name}:' header"
+    ):
         load_layout(f)
 
 
@@ -362,6 +376,9 @@ def test_estimate_cell_areas_requires_enough_samples():
 
 
 # -------------------------------------------------------------------- draws
+#
+# A campaign draws its trials with ``batch``'s block functions, one block of
+# uniform rows at a time; these tests check them on many rows at once.
 
 
 def small_system(lam=1.0, nc=3):
@@ -372,61 +389,101 @@ def small_system(lam=1.0, nc=3):
     return lay, geo, phy
 
 
+def with_background(lay, geo, phy):
+    """The centralized cells, then every other cell as interference only."""
+    extra = [i for i in range(lay.n_bs) if i not in lay.centralized_ids]
+    return assemble_cells(lay, geo, phy, interference_ids=extra)
+
+
+def split(cells, u):
+    """The occupancy, position and fading uniforms of the rows ``u``."""
+    n = cells.n_inst
+    return u[:, :n], u[:, n: 2 * n], u[:, 2 * n:]
+
+
 def test_draw_trial_deterministic_in_seed():
+    # a trial's occupancy and SINR depend on its uniform row alone, not on
+    # the block it is drawn in; other uniforms give another trial
     lay, geo, phy = small_system()
-    d1 = draw_trial(lay, geo, phy, seed=1234)
-    d2 = draw_trial(lay, geo, phy, seed=1234)
-    d3 = draw_trial(lay, geo, phy, seed=1235)
-    assert np.array_equal(d1.occupied, d2.occupied)
-    assert np.array_equal(d1.positions, d2.positions, equal_nan=True)
-    assert np.array_equal(d1.fading, d2.fading)
-    assert not (
-        np.array_equal(d1.occupied, d3.occupied)
-        and np.array_equal(d1.fading, d3.fading)
+    cells = with_background(lay, geo, phy)
+    terms = batch.position_terms(
+        cells.pool_xy, cells.pool_off, cells.bs_xy, MIN_DISTANCE_KM,
+        cells.nc, phy.pathloss_exponent, phy.s,
     )
+
+    def channel(u):
+        return batch._channel(
+            *split(cells, u), cells.p_occ, cells.pool_off, cells.nc,
+            phy.p0, phy.noise_w, terms,
+        )
+
+    u = np.random.default_rng(1234).random((200, cells.row_len))
+    occ, sinr = channel(u)
+    assert occ.any() and not occ.all()
+    rev_occ, rev_sinr = channel(u[::-1])
+    np.testing.assert_array_equal(rev_occ[::-1], occ)
+    np.testing.assert_array_equal(rev_sinr[::-1], sinr)
+    for t in (0, 1, 199):
+        one_occ, one_sinr = channel(u[t: t + 1])
+        np.testing.assert_array_equal(one_occ[0], occ[t])
+        np.testing.assert_array_equal(one_sinr[0], sinr[t])
+    other = np.random.default_rng(1235).random((200, cells.row_len))
+    other_occ, other_sinr = channel(other)
+    assert not np.array_equal(other_occ, occ)
+    assert not np.array_equal(other_sinr, sinr)
 
 
 def test_draw_trial_occupancy_extremes():
     lay, geo, _ = small_system()
-    none = draw_trial(lay, geo, PhyParams(lambda_density=1e-15), seed=7)
-    assert none.n_active == 0
-    assert not none.occupied.any()
-    assert np.all(np.isnan(none.positions))
-    assert np.all(np.isnan(none.serving_distance))
-
-    full = draw_trial(lay, geo, PhyParams(lambda_density=1e9), seed=7)
-    assert full.occupied.all()
-    assert full.n_active == full.cells.nc
-    assert np.all(np.isfinite(full.positions))
+    none = assemble_cells(lay, geo, PhyParams(lambda_density=1e-15))
+    full = assemble_cells(lay, geo, PhyParams(lambda_density=1e9))
+    u = np.random.default_rng(7).random((10_000, none.row_len))
+    u_occ = split(none, u)[0]
+    assert not (u_occ < none.p_occ).any()
+    assert (full.p_occ == 1.0).all()
+    assert (u_occ < full.p_occ).all()
 
 
 def test_draw_trial_geometry_consistency():
+    # every drawn user lies in its own cell, and its distances are the
+    # floored Euclidean ones to its own BS and to each scheduled BS
     lay, geo, _ = small_system()
-    phy = PhyParams(lambda_density=1e9)  # occupy everything
-    for seed in range(5):
-        d = draw_trial(lay, geo, phy, seed=seed)
-        cells = d.cells
-        for i in range(cells.n_inst):
-            x, y = d.positions[i]
-            assert lay.arena.contains(x, y)
-            bx, by = cells.bs_xy[i]
-            want = max(math.hypot(x - bx, y - by), MIN_DISTANCE_KM)
-            assert d.serving_distance[i] == pytest.approx(want, rel=1e-12)
-            # users land in their own cell: the serving BS is the nearest
-            d_all = np.hypot(
-                lay.bs_positions[:, 0] - x, lay.bs_positions[:, 1] - y
-            )
-            assert cells.cell_ids[i] == int(np.argmin(d_all))
-            for j in range(cells.nc):
-                bx, by = cells.bs_xy[j]
-                want = max(math.hypot(x - bx, y - by), MIN_DISTANCE_KM)
-                assert d.cross_distance[i, j] == pytest.approx(want, rel=1e-12)
-        # the diagonal of the cross distances is the serving distance
-        np.testing.assert_allclose(
-            np.diag(d.cross_distance), d.serving_distance[: cells.nc],
-            rtol=1e-12,
-        )
-        assert np.all(d.fading > 0.0)
+    cells = with_background(lay, geo, PhyParams(lambda_density=1e9))
+    nc, bs = cells.nc, cells.bs_xy
+    u = np.random.default_rng(0).random((500, cells.row_len))
+    u_pos = split(cells, u)[1]
+    j = batch.pool_index(u_pos, cells.pool_off)
+    assert ((cells.pool_off[:-1] <= j) & (j < cells.pool_off[1:])).all()
+    xy = cells.pool_xy[j]
+    x, y = xy[..., 0], xy[..., 1]
+    a = lay.arena
+    assert ((a.xmin <= x) & (x <= a.xmax)).all()
+    assert ((a.ymin <= y) & (y <= a.ymax)).all()
+    # users land in their own cell: the serving BS is the nearest
+    d_all = np.hypot(
+        x[..., None] - lay.bs_positions[:, 0],
+        y[..., None] - lay.bs_positions[:, 1],
+    )
+    np.testing.assert_array_equal(
+        d_all.argmin(axis=-1), np.broadcast_to(cells.cell_ids, j.shape)
+    )
+    owner = np.broadcast_to(np.arange(cells.n_inst), j.shape)
+    d_serv, cross = batch.distances(
+        xy.reshape(-1, 2), owner.ravel(), bs, MIN_DISTANCE_KM, nc
+    )
+    want = np.hypot(x - bs[:, 0], y - bs[:, 1])
+    np.testing.assert_allclose(
+        d_serv, np.maximum(want, MIN_DISTANCE_KM).ravel(), rtol=1e-12
+    )
+    want = np.hypot(x[..., None] - bs[:nc, 0], y[..., None] - bs[:nc, 1])
+    np.testing.assert_allclose(
+        cross, np.maximum(want, MIN_DISTANCE_KM).reshape(-1, nc), rtol=1e-12
+    )
+    # the diagonal of the cross distances is the serving distance
+    cross = cross.reshape(j.shape + (nc,))
+    np.testing.assert_array_equal(
+        cross[:, range(nc), range(nc)], d_serv.reshape(j.shape)[:, :nc]
+    )
 
 
 def test_draw_per_cell_occupancy_matches_probability():
@@ -434,11 +491,8 @@ def test_draw_per_cell_occupancy_matches_probability():
     cells = assemble_cells(lay, geo, phy)
     n = 100_000
     rng = np.random.default_rng(2718)
-    rows = rng.random((n, cells.row_len))
-    hits = np.zeros(cells.n_inst)
-    for t in range(n):
-        hits += draw_from_row(cells, rows[t]).occupied
-    p_hat = hits / n
+    u_occ = split(cells, rng.random((n, cells.row_len)))[0]
+    p_hat = np.count_nonzero(u_occ < cells.p_occ, axis=0) / n
     sigma = np.sqrt(cells.p_occ * (1.0 - cells.p_occ) / n)
     assert np.all(np.abs(p_hat - cells.p_occ) <= 3.0 * sigma)
 
@@ -449,24 +503,38 @@ def test_fading_is_unit_mean_exponential():
     arena = Arena(0.0, 0.0, 30.0, 30.0)
     lay = generate_layout("hex-grid", 100, arena, 100, seed=0)
     phy = PhyParams(lambda_density=1e9)
-    geo = estimate_cell_areas(lay, 100_000, seed=9)
-    gains = np.concatenate(
-        [
-            draw_trial(lay, geo, phy, seed=k).fading.ravel()
-            for k in range(100)
-        ]
+    cells = assemble_cells(lay, estimate_cell_areas(lay, 100_000, seed=9), phy)
+    u = np.stack(
+        [np.random.default_rng(k).random(cells.row_len) for k in range(100)]
     )
+    u_occ, _, u_fade = split(cells, u)
+    occ = u_occ < cells.p_occ
+    gains = batch.fading_gains(u_fade, occ[:, :, None] & occ[:, None, :])
     assert gains.size == 1_000_000
     assert np.all(gains > 0.0)
     assert gains.mean() == pytest.approx(1.0, abs=5e-3)
     assert gains.std() == pytest.approx(1.0, abs=2e-2)
 
 
-def test_draw_from_row_validates_length():
-    lay, geo, phy = small_system()
+    lay, geo, phy = small_system(nc=2)
     cells = assemble_cells(lay, geo, phy)
-    with pytest.raises(ValueError, match="row of length"):
-        draw_from_row(cells, np.zeros(cells.row_len - 1))
+    assert cells.cell_ids == lay.centralized_ids
+    assert cells.nc == 2 and cells.n_inst == 2
+    assert cells.row_len == 2 * 2 + 2 * 2
+
+    extra = [i for i in range(lay.n_bs) if i not in lay.centralized_ids]
+    bg = assemble_cells(lay, geo, phy, interference_ids=extra)
+    assert bg.nc == 2 and bg.n_inst == lay.n_bs
+    assert bg.row_len == 2 * 6 + 6 * 2
+
+    with pytest.raises(ValueError, match="overlap"):
+        assemble_cells(
+            lay, geo, phy, interference_ids=(lay.centralized_ids[0],)
+        )
+    with pytest.raises(ValueError, match="out of range"):
+        assemble_cells(lay, geo, phy, scheduled_ids=(99,))
+    with pytest.raises(ValueError, match="duplicate"):
+        assemble_cells(lay, geo, phy, scheduled_ids=(0, 0))
 
 
 def test_assemble_cells_validation():
@@ -494,34 +562,25 @@ def test_assemble_cells_validation():
 # --------------------------------------------------------------------- SINR
 
 
-def manual_draw(nc, occupied, d_serv, cross_d, fading):
-    """Hand-built TrialDraw for exact SINR arithmetic checks."""
-    occupied = np.asarray(occupied, dtype=bool)
-    n_inst = occupied.size
-    cells = CellArrays(
-        cell_ids=tuple(range(n_inst)),
-        nc=nc,
-        p_occ=np.ones(n_inst),
-        pool_xy=np.zeros((n_inst, 2)),
-        pool_off=np.arange(n_inst + 1, dtype=np.int64),
-        bs_xy=np.zeros((n_inst, 2)),
-    )
-    return TrialDraw(
-        cells=cells,
-        occupied=occupied,
-        positions=np.zeros((n_inst, 2)),
-        serving_distance=np.asarray(d_serv, dtype=np.float64),
-        cross_distance=np.asarray(cross_d, dtype=np.float64),
-        fading=np.asarray(fading, dtype=np.float64),
+def sinr(phy, occupied, d_serv, cross_d, fading):
+    """``batch.sinr_from_distances`` of hand-built rows: occupancy and
+    serving distances (rows x n_inst), cross distances and fading gains
+    (rows x n_inst x nc)."""
+    cross_d = np.asarray(cross_d, dtype=np.float64)
+    return batch.sinr_from_distances(
+        np.asarray(occupied, dtype=bool), np.asarray(d_serv, np.float64),
+        cross_d, np.asarray(fading, np.float64), cross_d.shape[-1],
+        phy.p0, phy.noise_w, phy.pathloss_exponent, phy.s,
     )
 
 
 def test_uplink_sinr_single_link_reference_values():
-    phy = PhyParams()
-    d = manual_draw(1, [True], [1.0], [[1.0]], [[1.0]])
-    assert uplink_sinr(d, phy, 0) == pytest.approx(SINR_D1, rel=1e-12)
-    d2 = manual_draw(1, [True], [2.0], [[2.0]], [[1.0]])
-    assert uplink_sinr(d2, phy, 0) == pytest.approx(SINR_D2, rel=1e-9)
+    got = sinr(
+        PhyParams(), [[True], [True]], [[1.0], [2.0]],
+        [[[1.0]], [[2.0]]], [[[1.0]], [[1.0]]],
+    )
+    assert got[0, 0] == pytest.approx(SINR_D1, rel=1e-12)
+    assert got[1, 0] == pytest.approx(SINR_D2, rel=1e-9)
 
 
 def test_uplink_sinr_interference_composition():
@@ -530,8 +589,7 @@ def test_uplink_sinr_interference_composition():
     d_serv = [1.2, 0.8]
     cross = [[1.2, 2.5], [3.1, 0.8]]
     h = [[0.9, 1.4], [0.3, 2.2]]
-    d = manual_draw(2, [True, True], d_serv, cross, h)
-    got = uplink_sinr_all(d, phy)
+    got = sinr(phy, [[True, True]], [d_serv], [cross], [h])[0]
     for k in range(2):
         i = 1 - k
         num = p0 * h[k][k] * d_serv[k] ** ((s - 1.0) * apl)
@@ -541,60 +599,53 @@ def test_uplink_sinr_interference_composition():
 
 def test_uplink_sinr_background_interferers_enter_denominator():
     # one scheduled cell, one interference-only cell: the interferer lowers
-    # the scheduled SINR but produces no SINR entry of its own
+    # the scheduled SINR but produces no SINR entry of its own; an
+    # unoccupied interferer (second row) contributes nothing
     phy = PhyParams()
     apl, s, p0, w = phy.pathloss_exponent, phy.s, phy.p0, phy.noise_w
-    alone = manual_draw(1, [True], [1.0], [[1.0]], [[1.0]])
-    with_bg = manual_draw(
-        1, [True, True], [1.0, 0.5], [[1.0], [2.0]], [[1.0], [0.7]]
+    base = sinr(phy, [[True]], [[1.0]], [[[1.0]]], [[[1.0]]])[0, 0]
+    got = sinr(
+        phy, [[True, True], [True, False]], [[1.0, 0.5], [1.0, np.nan]],
+        [[[1.0], [2.0]], [[1.0], [np.nan]]], [[[1.0], [0.7]]] * 2,
     )
-    base = uplink_sinr_all(alone, phy)
-    noisy = uplink_sinr_all(with_bg, phy)
-    assert noisy.shape == (1,)
+    assert got.shape == (2, 1)
     den = w + p0 * 0.5 ** (s * apl) * 0.7 * 2.0 ** -apl
-    assert noisy[0] == pytest.approx(p0 / den, rel=1e-12)
-    assert noisy[0] < base[0]
-
-    # an unoccupied interferer contributes nothing
-    quiet = manual_draw(
-        1, [True, False], [1.0, np.nan], [[1.0], [np.nan]], [[1.0], [0.7]]
-    )
-    assert uplink_sinr_all(quiet, phy)[0] == pytest.approx(base[0], rel=1e-12)
+    assert got[0, 0] == pytest.approx(p0 / den, rel=1e-12)
+    assert got[0, 0] < base
+    assert got[1, 0] == pytest.approx(base, rel=1e-12)
 
 
 def test_uplink_sinr_symmetric_users_tie():
-    phy = PhyParams()
-    d = manual_draw(
-        2, [True, True], [1.0, 1.0], [[1.0, 3.0], [3.0, 1.0]],
-        [[1.0, 0.5], [0.5, 1.0]],
+    got = sinr(
+        PhyParams(), [[True, True]], [[1.0, 1.0]], [[[1.0, 3.0], [3.0, 1.0]]],
+        [[[1.0, 0.5], [0.5, 1.0]]],
     )
-    got = uplink_sinr_all(d, phy)
-    assert got[0] == pytest.approx(got[1], rel=1e-12)
+    assert got[0, 0] == pytest.approx(got[0, 1], rel=1e-12)
 
 
 def test_uplink_sinr_scale_invariance():
     # scaling transmit power and noise together leaves the SINR unchanged
     rng = np.random.default_rng(55)
-    d_serv = rng.uniform(0.1, 3.0, 4)
-    cross = rng.uniform(0.1, 5.0, (4, 4))
-    h = rng.exponential(1.0, (4, 4))
-    d = manual_draw(4, [True] * 4, d_serv, cross, h)
-    base = uplink_sinr_all(d, PhyParams(p0=10.0, noise_w=0.1))
-    scaled = uplink_sinr_all(d, PhyParams(p0=10.0 * 137.0, noise_w=0.1 * 137.0))
+    d_serv = rng.uniform(0.1, 3.0, (50, 4))
+    cross = rng.uniform(0.1, 5.0, (50, 4, 4))
+    h = rng.exponential(1.0, (50, 4, 4))
+    occ = np.ones((50, 4), dtype=bool)
+    base = sinr(PhyParams(p0=10.0, noise_w=0.1), occ, d_serv, cross, h)
+    scaled = sinr(
+        PhyParams(p0=10.0 * 137.0, noise_w=0.1 * 137.0), occ, d_serv, cross, h
+    )
     np.testing.assert_allclose(scaled, base, rtol=1e-12)
 
 
-def test_uplink_sinr_unoccupied_and_range_errors():
-    phy = PhyParams()
-    d = manual_draw(2, [True, False], [1.0, np.nan],
-                    [[1.0, 2.0], [np.nan, np.nan]],
-                    [[1.0, 1.0], [1.0, 1.0]])
-    sinr = uplink_sinr_all(d, phy)
-    assert sinr[1] == -1.0  # unoccupied sentinel
-    with pytest.raises(ValueError, match="not occupied"):
-        uplink_sinr(d, phy, 1)
-    with pytest.raises(ValueError, match="out of range"):
-        uplink_sinr(d, phy, 2)
+def test_uplink_sinr_unoccupied_cell():
+    # an unoccupied scheduled cell is neither served nor an interferer, and
+    # its NaN distances reach no SINR
+    got = sinr(
+        PhyParams(), [[True, False]], [[1.0, np.nan]],
+        [[[1.0, 2.0], [np.nan, np.nan]]], [[[1.0, 1.0], [1.0, 1.0]]],
+    )
+    assert np.isfinite(got).all()
+    assert got[0, 0] == pytest.approx(SINR_D1, rel=1e-12)
 
 
 def test_import_leaves_scipy_out():
