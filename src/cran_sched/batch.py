@@ -2,14 +2,15 @@
 
 This is the one implementation of the per-trial algorithms.  Its functions
 work on a block of trials, one row per trial and any number of rows:
-``harness`` calls :func:`run_chunk` once per block of a campaign chunk, and
-the public per-trial kernels of :mod:`.kernels` run the same functions on
-one row.  Inactive users stay in place as padding (no ladder entry, cost
-``0.0``), so every array is (rows x cells) and a trial's users keep their
-cell order.  A scheduler is a function of a block, :func:`mrs`, :func:`swf`
-or :func:`scc`, all with one signature, and :func:`schedule_block` calls
-each one it is given; the cost, tangent and water-level formulas are
-:mod:`.complexity`'s.
+``harness`` calls :func:`run_chunk` once per campaign chunk, which computes
+the channel a block at a time and runs each greedy scheduler once, on the
+chunk's rows over budget; the public per-trial kernels of :mod:`.kernels`
+run the same functions on one row.  Inactive users stay in place as
+padding (no ladder entry, cost ``0.0``), so every array is (rows x cells)
+and a trial's users keep their cell order.  A scheduler is a function of
+a block, :func:`mrs`, :func:`swf` or :func:`scc`, all with one signature,
+which :func:`schedule_block` and :func:`run_chunk` call; the cost, tangent
+and water-level formulas are :mod:`.complexity`'s.
 
 The kernels write the bits of the scalar loops they replaced, which
 ``tests/scalar_kernels.py`` keeps as the independent reference, by five
@@ -385,55 +386,67 @@ def scc(mf, cap, init_c, lg, rates, c0, ilz, budget):
     return idx, comp
 
 
-def schedule_block(kinds, mf, cap, rates, c0, ilz, budget):
-    """For each scheduler in ``kinds``, its ``(idx, comp)`` on a block and
-    each row's ``(sum_rate, sum_complexity)``.  A scheduler is a function
-    ``(mf, cap, init_c, lg, rates, c0, ilz, budget) -> (idx, comp)``: from
-    the users' max-feasible entries, capacities and the :func:`_costs` at
-    ``mf``, each user's ladder entry (``-1``: not served) and cost.  The
-    costs at ``mf`` are computed once for all kinds, and the rows whose
-    max-rate cost exceeds the budget are sliced once: only those run a
-    kind other than :func:`mrs`, and every other row keeps the max-rate
-    allocation."""
+def _max_rate(mf, cap, rates, c0, ilz, budget):
+    """``(init_c, sum_rate, sum_comp, bound, args)``: the :func:`_costs` at
+    ``mf``, each row's max-rate totals, and the rows over budget, the only
+    ones a kind other than :func:`mrs` runs on, and their arguments."""
     init_c, lg = _costs(mf, cap, rates, c0, ilz)
     sum_rate, sum_comp = _totals(mf, init_c, rates)
     bound = np.flatnonzero(sum_comp > budget)
-    block = mf[bound], cap[bound], init_c[bound], lg[bound]
-    results = []
-    for kind in kinds:
-        if kind is mrs or not bound.size:
-            results.append((mf, init_c, sum_rate, sum_comp))
-            continue
-        i, c = kind(*block, rates, c0, ilz, budget)
-        idx, comp = mf.copy(), init_c.copy()
-        idx[bound], comp[bound] = i, c
-        r, k = sum_rate.copy(), sum_comp.copy()
-        r[bound], k[bound] = _totals(i, c, rates)
-        results.append((idx, comp, r, k))
-    return results
+    args = mf[bound], cap[bound], init_c[bound], lg[bound]
+    return init_c, sum_rate, sum_comp, bound, args
+
+
+def schedule_block(kind, mf, cap, rates, c0, ilz, budget):
+    """Scheduler ``kind``'s ``(idx, comp)`` on a block and each row's
+    ``(sum_rate, sum_complexity)``.  A scheduler maps the users' ``(mf, cap,
+    init_c, lg)`` (:func:`_max_rate`) and ``rates, c0, ilz, budget`` to each
+    user's ladder entry (``-1``: not served) and cost."""
+    init_c, sum_rate, sum_comp, bound, args = _max_rate(
+        mf, cap, rates, c0, ilz, budget
+    )
+    if kind is mrs or not bound.size:
+        return mf, init_c, sum_rate, sum_comp
+    i, c = kind(*args, rates, c0, ilz, budget)
+    idx, comp = mf.copy(), init_c.copy()
+    idx[bound], comp[bound] = i, c
+    sum_rate[bound], sum_comp[bound] = _totals(i, c, rates)
+    return idx, comp, sum_rate, sum_comp
 
 
 def run_chunk(
-    u, p_occ, pool_off, nc, thresholds, rates, c0, ilz, p0, noise, terms,
-    budget, kinds,
+    blocks, rows, p_occ, pool_off, nc, thresholds, rates, c0, ilz, p0, noise,
+    terms, budget, kinds,
 ):
-    """``(n_active, sums)`` of a block of trials, given their uniform rows
-    ``u``: each trial's number of active users and ``sums[t, j] =
-    (sum_rate, sum_complexity)`` of scheduler ``kinds[j]``.  A row holds
-    the occupancy and position uniforms of each instantiated cell, then
-    the fading ones; ``terms`` is the cell set's :func:`position_terms`
-    table."""
+    """``(n_active, sums)`` of a chunk of ``rows`` trials from its ``(a, b,
+    u)`` blocks of uniform rows ``a:b`` (occupancy and position uniforms of
+    each instantiated cell, then fading ones): each trial's active users and
+    ``sums[t, j] = (sum_rate, sum_complexity)`` of ``kinds[j]``.  The
+    channel is computed a block at a time; each kind other than :func:`mrs`
+    then runs once, on the chunk's rows over budget (:func:`_max_rate`)."""
     n_inst = p_occ.size
-    occ, sinr = _channel(
-        u[:, :n_inst], u[:, n_inst: 2 * n_inst], u[:, 2 * n_inst:],
-        p_occ, pool_off, nc, p0, noise, terms,
-    )
-    act = occ[:, :nc]
-    mf = np.where(act, max_feasible(thresholds, sinr), -1)
-    cap = np.zeros(act.shape)
-    cap[act] = _each(math.log2, 1.0 + sinr[act])
-    results = schedule_block(kinds, mf, cap, rates, c0, ilz, budget)
-    sums = np.empty((u.shape[0], len(kinds), 2))
-    for j, (_idx, _comp, sum_rate, sum_comp) in enumerate(results):
-        sums[:, j, 0], sums[:, j, 1] = sum_rate, sum_comp
-    return np.count_nonzero(act, axis=1), sums
+    parts = []
+    for a, _b, u in blocks:
+        occ, sinr = _channel(
+            u[:, :n_inst], u[:, n_inst: 2 * n_inst], u[:, 2 * n_inst:],
+            p_occ, pool_off, nc, p0, noise, terms,
+        )
+        act = occ[:, :nc]
+        mf = np.where(act, max_feasible(thresholds, sinr), -1)
+        cap = np.zeros(act.shape)
+        cap[act] = _each(math.log2, 1.0 + sinr[act])
+        _c, sum_rate, sum_comp, bound, args = _max_rate(
+            mf, cap, rates, c0, ilz, budget
+        )
+        count = np.count_nonzero(act, axis=1)
+        parts.append((count, sum_rate, sum_comp, a + bound, *args))
+    n_active, sum_rate, sum_comp, at, *args = map(np.concatenate, zip(*parts))
+    # freed here, so that the kinds' peak adds to no block's arrays
+    del parts, u, occ, sinr, act, mf, cap
+    sums = np.empty((rows, len(kinds), 2))
+    sums[:, :, 0], sums[:, :, 1] = sum_rate[:, None], sum_comp[:, None]
+    for j, kind in enumerate(kinds):
+        if kind is not mrs and at.size:
+            i, c = kind(*args, rates, c0, ilz, budget)
+            sums[at, j, 0], sums[at, j, 1] = _totals(i, c, rates)
+    return n_active, sums

@@ -62,8 +62,8 @@ from .netsim import (
 # one uniform-row chunk = one unit of (parallel) work
 CHUNK_TRIALS = 4096
 
-# a chunk is drawn and computed in blocks of at most this many elements of
-# rows x instantiated cells x scheduled cells
+# a chunk's channel is computed in blocks of at most this many elements of
+# rows x n_inst x nc; its schedulers run once, on its rows over budget
 BLOCK_ELEMENTS = 2**16
 
 # per_trial.csv is formatted and written this many trials at a time, and a
@@ -80,7 +80,7 @@ AREA_STREAM = 3
 # name -> (scheduler function of a block, scoring against C_server):
 # "outage" zeroes the rate where the cost exceeds the budget, "fits" asserts
 # the cost never does, None leaves the run unscored.  The function has the
-# signature batch.schedule_block calls it with.
+# signature batch.run_chunk and schedule_block call it with.
 SCHEDULERS = {
     "mrs": (batch.mrs, "outage"),
     "swf": (batch.swf, "fits"),
@@ -287,7 +287,7 @@ def _payload(
 ) -> tuple:
     """``(seed, stream, row_len, block_rows, kernel_args)``;
     ``kernel_args`` are the arguments of ``kernels.run_chunk`` after the
-    uniforms, ending with the scheduler functions to run."""
+    blocks and the row count, ending with the scheduler functions to run."""
     kernel_args = (
         cells.p_occ, cells.pool_off, cells.nc,
         table.thresholds, table.rates, *model.kernel_constants(),
@@ -330,12 +330,9 @@ def _uniform_blocks(payload: tuple, chunk_idx: int, rows: int):
 
 def _compute_chunk(payload: tuple, chunk_idx: int, rows: int) -> tuple:
     """``(n_active, out)`` for one chunk; ``out`` is (rows, kinds, 2)."""
-    kernel_args = payload[-1]
-    n_active = np.empty(rows, dtype=np.int64)
-    out = np.empty((rows, len(kernel_args[-1]), 2))
-    for a, b, u in _uniform_blocks(payload, chunk_idx, rows):
-        n_active[a:b], out[a:b] = kernels.run_chunk(u, *kernel_args)
-    return n_active, out
+    return kernels.run_chunk(
+        _uniform_blocks(payload, chunk_idx, rows), rows, *payload[-1]
+    )
 
 
 def _chunk_task(task: tuple) -> tuple:

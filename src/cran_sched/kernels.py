@@ -30,8 +30,8 @@ def schedule(kind, sinr, cap, thresholds, rates, c0, ilz, budget, idx, comp):
     ignores the budget."""
     n = sinr.shape[0]
     mf = batch.max_feasible(thresholds, sinr)[None]
-    [(i, c, sum_rate, sum_comp)] = batch.schedule_block(
-        [kind], mf, cap[None], rates, c0, ilz, budget
+    i, c, sum_rate, sum_comp = batch.schedule_block(
+        kind, mf, cap[None], rates, c0, ilz, budget
     )
     idx[:n], comp[:n] = i[0], c[0]
     return float(sum_rate[0]), float(sum_comp[0])

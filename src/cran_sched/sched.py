@@ -251,8 +251,8 @@ def _allocate(
         if not budget >= 0.0:
             raise ValueError(f"budget must be >= 0, got {budget}")
     mf, cap = _user_arrays(users, table)
-    [(idx, comp, sum_rate, sum_comp)] = batch.schedule_block(
-        [kind], mf[None], cap[None], table.rates, *params.kernel_constants(),
+    idx, comp, sum_rate, sum_comp = batch.schedule_block(
+        kind, mf[None], cap[None], table.rates, *params.kernel_constants(),
         math.inf if budget is None else budget,
     )
     return _build_allocation(

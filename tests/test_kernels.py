@@ -1,14 +1,17 @@
 """The batched kernels must write the scalar oracle's bits.
 
 ``batch`` is the one implementation of the per-trial algorithms: the
-campaign runs ``batch.run_chunk`` (``kernels.run_chunk``) on blocks of
-trials, and the public per-trial kernels of ``kernels`` run the same code on
-one row.  Both must produce the bits of the scalar loops in
-``tests/scalar_kernels.py``, the independent reference:
+campaign runs ``batch.run_chunk`` (``kernels.run_chunk``) once per chunk of
+trials, computing the channel a block at a time and each greedy scheduler
+once, on the chunk's rows over budget; the public per-trial kernels of
+``kernels`` run the same code on one row.  Both must produce the bits of the
+scalar loops in ``tests/scalar_kernels.py``, the independent reference:
 
 * the batched path is compared with the scalar chunk loop, exactly, on
-  chunks of the benchmark workloads and on edge cases, run a block at a time
+  chunks of the benchmark workloads and on edge cases, split into blocks
   with the cell set's position-term table as the campaign runs it;
+* each greedy scheduler runs once per chunk, on exactly the rows whose
+  max-rate cost exceeds the budget, whichever blocks they come from;
 * each public per-trial kernel is compared with its scalar counterpart,
   array by array, on the first evaluation trials of each benchmark workload;
 * each row of that table holds the scalar kernels' power terms of its pool
@@ -145,23 +148,45 @@ def assert_outputs_equal(got, ref):
     )
 
 
-def assert_paths_equal(u, cells, config, budget, kinds=ALL_KINDS):
-    """Run the batched path, a block at a time as the campaign does, and
-    the scalar chunk loop on the uniform rows ``u``; their outputs must be
-    equal, bit for bit."""
-    args = kernel_args(cells, config, budget, kinds)
-    rows, step = u.shape[0], block_rows(cells)
-    got_n = np.zeros(rows, np.int64)
-    got = np.zeros((rows, len(kinds), 2))
-    for a in range(0, rows, step):
-        got_n[a: a + step], got[a: a + step] = batch.run_chunk(
-            u[a: a + step], *args
-        )
+def blocks(u, step):
+    """The ``(a, b, u[a:b])`` blocks of ``step`` rows of the chunk ``u``, as
+    ``harness._uniform_blocks`` yields them."""
+    for a in range(0, u.shape[0], step):
+        yield a, min(a + step, u.shape[0]), u[a: a + step]
+
+
+def recording(kind, calls):
+    """``kind``, appending ``(kind, args)`` to ``calls`` at each call;
+    ``batch.mrs`` as it is, since ``run_chunk`` never calls it."""
+    if kind is batch.mrs:
+        return kind
+
+    def run(*args):
+        calls.append((kind, args))
+        return kind(*args)
+
+    return run
+
+
+def assert_paths_equal(
+    u, cells, config, budget, kinds=ALL_KINDS, step=None, calls=None,
+):
+    """Run the batched path on the uniform rows ``u`` as one chunk, in
+    blocks of ``step`` rows (the campaign's by default), and the scalar
+    chunk loop; their outputs must be equal, bit for bit.  With a list
+    ``calls``, each greedy scheduler call is :func:`recording` there."""
+    kinds_run = kinds
+    if calls is not None:
+        kinds_run = [recording(k, calls) for k in kinds]
+    got = batch.run_chunk(
+        blocks(u, step or block_rows(cells)), u.shape[0],
+        *kernel_args(cells, config, budget, kinds_run),
+    )
     assert_outputs_equal(
-        (got_n, got),
+        got,
         scalar_run(u, cells.n_inst, scalar_args(cells, config, budget, kinds)),
     )
-    return got_n, got
+    return got
 
 
 def uniforms(seed, stream, chunk, rows, row_len):
@@ -370,6 +395,82 @@ def test_uniform_blocks_equal_the_one_shot_draw():
     np.testing.assert_array_equal(
         np.concatenate([u for _a, _b, u in blocks]), one_shot
     )
+
+
+def assert_bound_rows_only(calls, budget, n_bound):
+    """Each greedy scheduler was called once, on ``n_bound`` rows, every
+    one of them over budget at the max-rate allocation."""
+    assert sorted(k.__name__ for k, _args in calls) == ["scc", "swf"]
+    for _kind, (mf, cap, init_c, lg, *_rest) in calls:
+        assert mf.shape == cap.shape == init_c.shape == lg.shape
+        assert mf.shape[0] == n_bound
+        assert (batch._seq_sum(init_c) > budget).all()
+
+
+@pytest.mark.parametrize(
+    "step",
+    # the block sizes of tight-budget (10 x 10 cells) and interference
+    # (129 x 10)
+    [harness.BLOCK_ELEMENTS // n for n in (10 * 10, 129 * 10)],
+)
+def test_one_chunk_schedules_its_bound_rows_once(step):
+    config, cells = small_cells(background=True)
+    n_inst, budget = cells.n_inst, 3.0
+    rows = 3 * step + 17
+    u = uniforms(7, 1, 8, rows, cells.row_len)
+    u[step: 2 * step, :n_inst] = 1.0    # a block of unoccupied trials
+    _n, ref = scalar_run(u, n_inst, scalar_args(cells, config, budget))
+    over = ref[:, 0, 1] > budget
+    per_block = [int(over[a:b].sum()) for a, b, _u in blocks(u, step)]
+    assert per_block[1] == 0 and min(per_block[:1] + per_block[2:]) > 0
+
+    calls = []
+    assert_paths_equal(u, cells, config, budget, step=step, calls=calls)
+    assert_bound_rows_only(calls, budget, int(over.sum()))
+
+    # no row over budget: no greedy scheduler runs
+    calls = []
+    assert_paths_equal(u, cells, config, math.inf, step=step, calls=calls)
+    assert calls == []
+
+    # a one-row tail chunk, over budget
+    t = int(np.argmax(over))
+    calls = []
+    assert_paths_equal(
+        u[t: t + 1], cells, config, budget, step=step, calls=calls
+    )
+    assert_bound_rows_only(calls, budget, 1)
+
+
+def test_campaign_runs_each_scheduler_once_per_chunk(monkeypatch):
+    # the benchmark times kernels.run_chunk per call, and a dead-worker test
+    # replaces it: the harness calls it once per chunk, of several blocks
+    config, cells = small_cells(background=True)
+    assert block_rows(cells) < harness.CHUNK_TRIALS // 2
+    config = dataclasses.replace(config, n_trials=5000, workers=1)
+    chunks = []
+    run_chunk = kernels.run_chunk
+
+    def counted(blocks, rows, *args):
+        chunks.append(rows)
+        return run_chunk(blocks, rows, *args)
+
+    monkeypatch.setattr(kernels, "run_chunk", counted)
+    calls = []
+    for name in ("swf", "scc"):
+        kind, scoring = harness.SCHEDULERS[name]
+        monkeypatch.setitem(
+            harness.SCHEDULERS, name, (recording(kind, calls), scoring)
+        )
+    budget = 3.0
+    result = harness.run_campaign(config, c_server=budget)
+    assert chunks == [harness.CHUNK_TRIALS, 5000 - harness.CHUNK_TRIALS]
+    assert [k.__name__ for k, _args in calls] == ["swf", "scc"] * 2
+    over = result.series["unconstrained"].sum_complexity > budget
+    for chunk, (a, b) in enumerate([(0, chunks[0]), (chunks[0], 5000)]):
+        assert_bound_rows_only(
+            calls[2 * chunk: 2 * chunk + 2], budget, int(over[a:b].sum())
+        )
 
 
 def scalar_terms(cells, phy):
