@@ -13,15 +13,17 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
 
 from . import __version__, harness
 from .complexity import ModelParams
-from .harness import CampaignConfig
+from .harness import CampaignConfig, CampaignKeys
 from .mcs import McsTable, build_table, db_to_linear, default_table, load_rates
 from .netsim import (
+    LAYOUT_KINDS,
     Arena,
     LayoutError,
     NetworkLayout,
@@ -39,7 +41,6 @@ class ConfigError(ValueError):
 
 
 _LOG_LEVELS = ("debug", "info", "warning", "error")
-_LAYOUT_KINDS = ("uniform-random", "hex-grid")
 
 
 def _check(cond: bool, message: str) -> None:
@@ -47,10 +48,11 @@ def _check(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+@dataclass(frozen=True, kw_only=True)
+class RunConfig(CampaignKeys):
     """A validated config: one field per config key, whose default is the
-    key's default (``None``: unset).  Setting ``c_server`` clears
+    key's default (``None``: unset).  The campaign keys are those of
+    :class:`~cran_sched.harness.CampaignKeys`.  Setting ``c_server`` clears
     ``epsilon``; ``model`` and ``phy`` are derived from the fields."""
 
     lambda_density: float = 1.0         # active users per km^2
@@ -64,46 +66,43 @@ class RunConfig:
     eps_channel: float = 0.1
     l_max: int = 8
     n_centralized: int = 10
-    epsilon: float | None = 0.1
-    c_server: float | None = None
-    n_trials: int = 100_000
-    calibration_trials: int | None = None   # None -> n_trials
-    seed: int = 12345
     layout_file: str | None = None
     layout_kind: str = "uniform-random"
     n_bs: int = 129
     arena_km: float = 30.0
     layout_seed: int = 1
-    area_samples: int = 100_000
-    schedulers: tuple[str, ...] = tuple(harness.SCHEDULERS)
-    workers: int = 1
     nc_values: tuple[int, ...] = (2, 4, 6, 8, 10)
     lambda_values: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0)
     reference_lambda: float | None = None   # None -> lambda_values[0]
     mcs_file: str | None = None
-    background_interference: bool = False
     log_level: str = "info"
 
     def __post_init__(self) -> None:
         if self.c_server is not None:
             object.__setattr__(self, "epsilon", None)
-        # ModelParams and PhyParams check the ranges of their keys
-        self.model, self.phy
-        harness.check_campaign(self)
         # nu = 10**(nu_db/10) is positive for any nu_db, so ModelParams cannot
         # catch a non-positive margin
-        _check(self.nu_db > 0.0, f"nu_db must be > 0, got {self.nu_db}")
+        _check(
+            0.0 < self.nu_db < math.inf,
+            f"nu_db must be > 0 and finite, got {self.nu_db}",
+        )
+        # ModelParams and PhyParams check the ranges of their keys
+        self.model, self.phy
+        super().__post_init__()
         _check(
             self.n_centralized >= 1,
             f"n_centralized must be >= 1, got {self.n_centralized}",
         )
         _check(
-            self.layout_kind in _LAYOUT_KINDS,
-            f"layout_kind must be one of {_LAYOUT_KINDS}, "
+            self.layout_kind in LAYOUT_KINDS,
+            f"layout_kind must be one of {LAYOUT_KINDS}, "
             f"got {self.layout_kind!r}",
         )
         _check(self.n_bs >= 1, f"n_bs must be >= 1, got {self.n_bs}")
-        _check(self.arena_km > 0, f"arena_km must be > 0, got {self.arena_km}")
+        _check(
+            0 < self.arena_km < math.inf,
+            f"arena_km must be > 0 and finite, got {self.arena_km}",
+        )
         _check(
             self.layout_seed >= 0,
             f"layout_seed must be >= 0, got {self.layout_seed}",
@@ -279,15 +278,7 @@ def build_campaign(rc: RunConfig) -> CampaignConfig:
         table=build_mcs_table(rc),
         model=rc.model,
         phy=rc.phy,
-        schedulers=rc.schedulers,
-        n_trials=rc.n_trials,
-        epsilon=rc.epsilon,
-        c_server=rc.c_server,
-        seed=rc.seed,
-        calibration_trials=rc.calibration_trials,
-        area_samples=rc.area_samples,
-        workers=rc.workers,
-        background_interference=rc.background_interference,
+        **{f.name: getattr(rc, f.name) for f in fields(CampaignKeys)},
     )
 
 

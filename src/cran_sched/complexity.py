@@ -80,12 +80,14 @@ class ModelParams:
     l_max: int = 8              # decoder iteration budget, diagnostics only
 
     def __post_init__(self) -> None:
-        if not self.k_prime > 0:
-            raise ValueError(f"k_prime must be > 0, got {self.k_prime}")
-        if not self.zeta > 2:
-            raise ValueError(f"zeta must be > 2, got {self.zeta}")
-        if not self.nu > 0:
-            raise ValueError(f"nu must be > 0, got {self.nu}")
+        if not 0 < self.k_prime < math.inf:
+            raise ValueError(
+                f"k_prime must be > 0 and finite, got {self.k_prime}"
+            )
+        if not 2 < self.zeta < math.inf:
+            raise ValueError(f"zeta must be > 2 and finite, got {self.zeta}")
+        if not 0 < self.nu < math.inf:
+            raise ValueError(f"nu must be > 0 and finite, got {self.nu}")
         if not 0 < self.eps_channel < 1:
             raise ValueError(
                 f"eps_channel must be in (0, 1), got {self.eps_channel}"

@@ -89,54 +89,11 @@ SCHEDULERS = {
 }
 
 
-def check_campaign(cfg) -> None:
-    """Range checks of the campaign values, shared by :class:`CampaignConfig`
-    and ``cli.RunConfig``, which carry them under the same field names."""
-    names = cfg.schedulers
-    if not names:
-        raise ValueError("schedulers must be non-empty")
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate schedulers: {tuple(names)}")
-    for name in names:
-        if name not in SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {name!r}: schedulers must be drawn "
-                f"from {tuple(SCHEDULERS)}"
-            )
-    if cfg.n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {cfg.n_trials}")
-    if (cfg.epsilon is None) == (cfg.c_server is None):
-        raise ValueError("exactly one of epsilon and c_server must be set")
-    if cfg.epsilon is not None:
-        if not 0.0 <= cfg.epsilon < 1.0:
-            raise ValueError(f"epsilon must be in [0,1), got {cfg.epsilon}")
-        # the floor applies to the count a calibration draws
-        if cfg.calibration_trials is None:
-            key, n_cal = "n_trials (calibration_trials is unset)", cfg.n_trials
-        else:
-            key, n_cal = "calibration_trials", cfg.calibration_trials
-        if n_cal < 1000:
-            raise ValueError(f"{key} must be >= 1000, got {n_cal}")
-    if cfg.c_server is not None and not cfg.c_server >= 0.0:
-        raise ValueError(f"c_server must be >= 0, got {cfg.c_server}")
-    if cfg.seed < 0:
-        raise ValueError(f"seed must be >= 0, got {cfg.seed}")
-    if cfg.area_samples < 10_000:
-        raise ValueError(
-            f"area_samples must be >= 10000, got {cfg.area_samples}"
-        )
-    if cfg.workers < 1:
-        raise ValueError(f"workers must be >= 1, got {cfg.workers}")
+@dataclass(frozen=True, kw_only=True)
+class CampaignKeys:
+    """The campaign keys, with their defaults and range checks, declared
+    once for :class:`CampaignConfig` and ``cli.RunConfig``."""
 
-
-@dataclass(frozen=True)
-class CampaignConfig:
-    """Everything a campaign needs besides the cell geometry."""
-
-    layout: NetworkLayout
-    table: McsTable
-    model: ModelParams
-    phy: PhyParams
     schedulers: tuple[str, ...] = tuple(SCHEDULERS)
     n_trials: int = 100_000
     epsilon: float | None = 0.1     # target outage; exclusive with c_server
@@ -148,7 +105,49 @@ class CampaignConfig:
     background_interference: bool = False
 
     def __post_init__(self) -> None:
-        check_campaign(self)
+        if not self.schedulers:
+            raise ValueError("schedulers must be non-empty")
+        if len(set(self.schedulers)) != len(self.schedulers):
+            raise ValueError(f"duplicate schedulers: {tuple(self.schedulers)}")
+        for name in self.schedulers:
+            if name not in SCHEDULERS:
+                raise ValueError(
+                    f"unknown scheduler {name!r}: schedulers must be drawn "
+                    f"from {tuple(SCHEDULERS)}"
+                )
+        if self.n_trials < 1:
+            raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
+        if (self.epsilon is None) == (self.c_server is None):
+            raise ValueError("exactly one of epsilon and c_server must be set")
+        if self.epsilon is not None:
+            if not 0.0 <= self.epsilon < 1.0:
+                raise ValueError(
+                    f"epsilon must be in [0,1), got {self.epsilon}"
+                )
+            # the floor applies to the count a calibration draws
+            if self.calibration_trials is None:
+                key = "n_trials (calibration_trials is unset)"
+                n_cal = self.n_trials
+            else:
+                key, n_cal = "calibration_trials", self.calibration_trials
+            if n_cal < 1000:
+                raise ValueError(f"{key} must be >= 1000, got {n_cal}")
+        if self.c_server is not None and not self.c_server >= 0.0:
+            raise ValueError(f"c_server must be >= 0, got {self.c_server}")
+        for key, low in ("seed", 0), ("area_samples", 10_000), ("workers", 1):
+            value = getattr(self, key)
+            if value < low:
+                raise ValueError(f"{key} must be >= {low}, got {value}")
+
+
+@dataclass(frozen=True, kw_only=True)
+class CampaignConfig(CampaignKeys):
+    """Everything a campaign needs besides the cell geometry."""
+
+    layout: NetworkLayout
+    table: McsTable
+    model: ModelParams
+    phy: PhyParams
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,9 @@ import numpy as np
 # distances below 10 m are clamped to keep the path-loss model sane
 MIN_DISTANCE_KM = 0.01
 
+# the kinds of synthesized layout (generate_layout)
+LAYOUT_KINDS = ("uniform-random", "hex-grid")
+
 # sample points per pass of _nearest_bs; keeps its (points x candidates)
 # temporaries in cache
 _OWNER_CHUNK = 4096
@@ -153,16 +156,19 @@ class PhyParams:
     lambda_density: float = 1.0      # user intensity, users per km^2
 
     def __post_init__(self) -> None:
-        if not self.pathloss_exponent > 2.0:
+        if not 2.0 < self.pathloss_exponent < math.inf:
             raise ValueError(
-                f"pathloss_exponent must be > 2, got {self.pathloss_exponent}"
+                "pathloss_exponent must be > 2 and finite, got "
+                f"{self.pathloss_exponent}"
             )
         if not 0.0 <= self.s <= 1.0:
             raise ValueError(f"s must be in [0,1], got {self.s}")
-        if not self.p0 > 0.0:
-            raise ValueError(f"p0 must be > 0, got {self.p0}")
-        if not self.noise_w > 0.0:
-            raise ValueError(f"noise_w must be > 0, got {self.noise_w}")
+        if not 0.0 < self.p0 < math.inf:
+            raise ValueError(f"p0 must be > 0 and finite, got {self.p0}")
+        if not 0.0 < self.noise_w < math.inf:
+            raise ValueError(
+                f"noise_w must be > 0 and finite, got {self.noise_w}"
+            )
         if not self.lambda_density > 0.0:
             raise ValueError(
                 f"lambda_density must be > 0, got {self.lambda_density}"
@@ -259,7 +265,7 @@ def generate_layout(
     else:
         raise LayoutError(
             f"unknown layout kind {kind!r} "
-            f"(expected 'uniform-random' or 'hex-grid')"
+            f"(expected {' or '.join(map(repr, LAYOUT_KINDS))})"
         )
     central = _central_ids(pos, arena, n_centralized)
     return NetworkLayout(pos, arena, central)

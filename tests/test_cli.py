@@ -90,8 +90,9 @@ def test_default_config_is_the_builtin_defaults(tmp_path):
 
 
 def test_campaign_config_defaults_are_the_config_defaults():
-    # the library's CampaignConfig repeats the defaults of the config keys
-    # it shares with RunConfig; they must not drift apart
+    # the library's CampaignConfig and RunConfig inherit the campaign keys
+    # from one base, so a campaign built in code and one read from an empty
+    # config file start from the same values
     run = {f.name: f.default for f in dataclasses.fields(RunConfig)}
     shared = [
         f for f in dataclasses.fields(CampaignConfig)
@@ -155,6 +156,17 @@ def test_config_constraint_errors(tmp_path):
         ("background_interference = maybe\n", "'true' or 'false'"),
         ("log_level = loud\n", "log_level must be one of"),
         ("epsilon = 0.1\nc_server = 5\n", "mutually exclusive"),
+        # infinite model, phy and layout values
+        ("k_prime = inf\n", "k_prime must be > 0 and finite, got inf"),
+        ("zeta = inf\n", "zeta must be > 2 and finite, got inf"),
+        ("nu_db = inf\n", "nu_db must be > 0 and finite, got inf"),
+        ("p0_w = inf\n", "p0 must be > 0 and finite, got inf"),
+        ("noise_w = inf\n", "noise_w must be > 0 and finite, got inf"),
+        (
+            "pathloss_exponent = inf\n",
+            "pathloss_exponent must be > 2 and finite, got inf",
+        ),
+        ("arena_km = inf\n", "arena_km must be > 0 and finite, got inf"),
     ]
     for body, pattern in cases:
         with pytest.raises(ConfigError) as exc:
@@ -187,6 +199,29 @@ def test_mapping_round_trips_through_the_grammar(tmp_path):
     assert back == rc
     # every emitted key is a recognized one
     assert set(rc.mapping()) <= set(DEFAULTS)
+
+
+@pytest.mark.parametrize("budget", [
+    {"epsilon": 0.05, "c_server": None},
+    {"epsilon": None, "c_server": 42.5},
+])
+def test_build_campaign_carries_every_campaign_key(budget):
+    # every campaign key is set away from its default (but for the unset one
+    # of epsilon and c_server) and must reach the harness config as given
+    values = dict(
+        schedulers=("scc", "mrs"), n_trials=1234, seed=99,
+        calibration_trials=1500, area_samples=20_000, workers=3,
+        background_interference=True, **budget,
+    )
+    keys = dataclasses.fields(harness.CampaignKeys)
+    assert sorted(values) == sorted(f.name for f in keys)
+    for f in keys:
+        assert values[f.name] is None or values[f.name] != f.default, f.name
+    rc = RunConfig(n_bs=12, arena_km=8.0, n_centralized=3, **values)
+    config = build_campaign(rc)
+    for f in keys:
+        assert getattr(config, f.name) == values[f.name], f.name
+    assert config.model == rc.model and config.phy == rc.phy
 
 
 def test_build_layout_and_table(tmp_path):
