@@ -25,7 +25,6 @@ from .mcs import McsTable, build_table, db_to_linear, default_table, load_rates
 from .netsim import (
     LAYOUT_KINDS,
     Arena,
-    LayoutError,
     NetworkLayout,
     PhyParams,
     generate_layout,
@@ -81,10 +80,13 @@ class RunConfig(CampaignKeys):
         if self.c_server is not None:
             object.__setattr__(self, "epsilon", None)
         # nu = 10**(nu_db/10) is positive for any nu_db, so ModelParams cannot
-        # catch a non-positive margin
+        # catch a non-positive margin; past ~3082.5 dB it overflows a float
         _check(
             0.0 < self.nu_db < math.inf,
             f"nu_db must be > 0 and finite, got {self.nu_db}",
+        )
+        _check(
+            self.nu_db <= 3000.0, f"nu_db must be <= 3000, got {self.nu_db}"
         )
         # ModelParams and PhyParams check the ranges of their keys
         self.model, self.phy
@@ -438,7 +440,9 @@ def main(argv=None) -> int:
         )
         os.makedirs(args.out, exist_ok=True)
         return _COMMANDS[args.command](rc, args)
-    except (ConfigError, LayoutError, ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
+        # ConfigError and LayoutError are ValueErrors; a value in range can
+        # still overflow a float in the model (a pathloss_exponent of 200)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -375,17 +375,10 @@ def _run_chunks(payload: tuple, n_trials: int, workers: int) -> tuple:
 def campaign_cells(
     config: CampaignConfig, geometry: CellGeometry
 ) -> CellArrays:
-    """Kernel arrays for the config's scheduled (+ background) cells."""
-    if config.background_interference:
-        extra = tuple(
-            i
-            for i in range(config.layout.n_bs)
-            if i not in set(config.layout.centralized_ids)
-        )
-    else:
-        extra = ()
+    """Kernel arrays for the config's centralized cells, followed by every
+    other cell when ``background_interference`` is set."""
     return assemble_cells(
-        config.layout, geometry, config.phy, interference_ids=extra
+        config.layout, geometry, config.phy, config.background_interference
     )
 
 

@@ -17,8 +17,9 @@ chosen pool point, transmitting with fractional power control
     noise + sum_i p0 * d_i**(s*apl) * h_ik * |Y_k - X_i|**(-apl)
 
 with i ranging over the other occupied instantiated cells.  By default only
-the scheduled cells are instantiated; callers may add further
-interference-only cells (see :func:`assemble_cells`).
+the scheduled cells, the layout's centralized ones, are instantiated; with
+background interference every other cell is instantiated after them,
+interference-only (see :func:`assemble_cells`).
 
 :mod:`.batch` draws each trial from one uniform row of fixed length, so a
 trial is a pure function of its seed.
@@ -463,35 +464,20 @@ def assemble_cells(
     layout: NetworkLayout,
     geometry: CellGeometry,
     phy: PhyParams,
-    scheduled_ids=None,
-    interference_ids=(),
+    background: bool = False,
 ) -> CellArrays:
-    """Bundle the kernel inputs for one set of instantiated cells.
-
-    ``scheduled_ids`` defaults to the layout's centralized subset;
-    ``interference_ids`` adds cells whose users interfere without being
-    scheduled (they must not overlap the scheduled set).
-    """
+    """Bundle the kernel inputs for the layout's centralized cells, which
+    are scheduled; with ``background``, every other BS's cell follows in
+    ascending id order, its user interfering without being scheduled."""
     if geometry.n_bs != layout.n_bs:
         raise ValueError(
             f"geometry covers {geometry.n_bs} cells but the layout has "
             f"{layout.n_bs}"
         )
-    if scheduled_ids is None:
-        scheduled_ids = layout.centralized_ids
-    sched = tuple(int(i) for i in scheduled_ids)
-    extra = tuple(int(i) for i in interference_ids)
-    overlap = set(sched) & set(extra)
-    if overlap:
-        raise ValueError(
-            f"interference_ids overlap scheduled cells: {sorted(overlap)}"
-        )
-    all_ids = sched + extra
-    for i in all_ids:
-        if not 0 <= i < layout.n_bs:
-            raise ValueError(f"cell id {i} out of range for {layout.n_bs} BSs")
-    if len(set(all_ids)) != len(all_ids):
-        raise ValueError(f"duplicate cell ids in {all_ids}")
+    all_ids = layout.centralized_ids
+    if background:
+        central = set(all_ids)
+        all_ids += tuple(i for i in range(layout.n_bs) if i not in central)
     p_occ = np.array(
         [occupancy_probability(phy, geometry.areas[i]) for i in all_ids]
     )
@@ -501,14 +487,11 @@ def assemble_cells(
     ]
     pool_off = np.zeros(len(all_ids) + 1, dtype=np.int64)
     np.cumsum([p.shape[0] for p in pools], out=pool_off[1:])
-    pool_xy = (
-        np.concatenate(pools, axis=0) if pools else np.zeros((0, 2))
-    )
     return CellArrays(
         cell_ids=all_ids,
-        nc=len(sched),
+        nc=layout.n_centralized,
         p_occ=p_occ,
-        pool_xy=np.ascontiguousarray(pool_xy),
+        pool_xy=np.concatenate(pools, axis=0),
         pool_off=pool_off,
-        bs_xy=np.ascontiguousarray(layout.bs_positions[list(all_ids)]),
+        bs_xy=layout.bs_positions[list(all_ids)],
     )

@@ -160,6 +160,8 @@ def test_config_constraint_errors(tmp_path):
         ("k_prime = inf\n", "k_prime must be > 0 and finite, got inf"),
         ("zeta = inf\n", "zeta must be > 2 and finite, got inf"),
         ("nu_db = inf\n", "nu_db must be > 0 and finite, got inf"),
+        # 10**(4000/10) overflows a float
+        ("nu_db = 4000\n", "nu_db must be <= 3000, got 4000.0"),
         ("p0_w = inf\n", "p0 must be > 0 and finite, got inf"),
         ("noise_w = inf\n", "noise_w must be > 0 and finite, got inf"),
         (
@@ -260,6 +262,14 @@ def test_main_rejects_bad_config_value(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "error:" in err and "s must be in [0,1], got 1.5" in err
+
+
+def test_main_reports_an_overflowing_value(tmp_path, capsys):
+    # 0.01 km ** -200, a user's path loss at the distance clamp, overflows
+    cfg = write_cfg(tmp_path, SMALL + "pathloss_exponent = 200\n")
+    code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_run_at_fixed_budget_skips_the_calibration_floor(tmp_path):

@@ -4,13 +4,16 @@
 calibration and 100,000 evaluation trials.  ``reference`` is the same
 campaign cut to one 4,096-trial chunk for the calibration and one for the
 evaluation; ``tight-budget`` pins ``c_server = 20`` so that the budget
-binds on nearly every trial.  All run at seed 12345.  The values of
-``reference`` and ``tight-budget`` were frozen from the campaign as it
-stood before the scheduler functions replaced the kernel ids, those of
-``default`` as it stood before the one-trial draw layer was retired; any
-change to them has to say why.  They are compared to a relative 1e-9, not
-bit for bit; the byte-level contract is the determinism tests' and
-``per_trial.csv``'s SHA-256, which is logged here for information only.
+binds on nearly every trial; ``interference`` instantiates every other cell
+of the layout as background interference.  All run at seed 12345.  The
+values of ``reference`` and ``tight-budget`` were frozen from the campaign
+as it stood before the scheduler functions replaced the kernel ids, those
+of ``default`` as it stood before the one-trial draw layer was retired,
+those of ``interference`` as it stood before the cell set became the layout
+plus one flag; any change to them has to say why.  They are compared to a
+relative 1e-9, not bit for bit; the byte-level contract is the determinism
+tests' and ``per_trial.csv``'s SHA-256, which is logged here for
+information only.
 """
 
 import dataclasses
@@ -28,6 +31,7 @@ CONFIGS = {
     "default": os.path.join(ROOT, "configs", "default.cfg"),
     "reference": os.path.join(BENCH_CONFIGS, "reference.cfg"),
     "tight-budget": os.path.join(BENCH_CONFIGS, "tight-budget.cfg"),
+    "interference": os.path.join(BENCH_CONFIGS, "interference.cfg"),
 }
 
 log = logging.getLogger(__name__)
@@ -63,6 +67,17 @@ HEADLINE = {
             "scc": 19.932914184570315,
         },
         "mrs_outage": 0.99462890625,
+    },
+    "interference": {
+        "n_trials": 1024,
+        "c_server": 56.457094716700865,
+        "mean_sum_rate": {
+            "mrs": 14.1304529296875,
+            "swf": 16.184719531250003,
+            "scc": 16.182328515625002,
+            "unconstrained": 16.228305566406252,
+        },
+        "mrs_outage": 0.0947265625,
     },
 }
 

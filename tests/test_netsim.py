@@ -389,12 +389,6 @@ def small_system(lam=1.0, nc=3):
     return lay, geo, phy
 
 
-def with_background(lay, geo, phy):
-    """The centralized cells, then every other cell as interference only."""
-    extra = [i for i in range(lay.n_bs) if i not in lay.centralized_ids]
-    return assemble_cells(lay, geo, phy, interference_ids=extra)
-
-
 def split(cells, u):
     """The occupancy, position and fading uniforms of the rows ``u``."""
     n = cells.n_inst
@@ -405,7 +399,7 @@ def test_draw_trial_deterministic_in_seed():
     # a trial's occupancy and SINR depend on its uniform row alone, not on
     # the block it is drawn in; other uniforms give another trial
     lay, geo, phy = small_system()
-    cells = with_background(lay, geo, phy)
+    cells = assemble_cells(lay, geo, phy, background=True)
     terms = batch.position_terms(
         cells.pool_xy, cells.pool_off, cells.bs_xy, MIN_DISTANCE_KM,
         cells.nc, phy.pathloss_exponent, phy.s,
@@ -448,7 +442,9 @@ def test_draw_trial_geometry_consistency():
     # every drawn user lies in its own cell, and its distances are the
     # floored Euclidean ones to its own BS and to each scheduled BS
     lay, geo, _ = small_system()
-    cells = with_background(lay, geo, PhyParams(lambda_density=1e9))
+    cells = assemble_cells(
+        lay, geo, PhyParams(lambda_density=1e9), background=True
+    )
     nc, bs = cells.nc, cells.bs_xy
     u = np.random.default_rng(0).random((500, cells.row_len))
     u_pos = split(cells, u)[1]
@@ -516,27 +512,6 @@ def test_fading_is_unit_mean_exponential():
     assert gains.std() == pytest.approx(1.0, abs=2e-2)
 
 
-    lay, geo, phy = small_system(nc=2)
-    cells = assemble_cells(lay, geo, phy)
-    assert cells.cell_ids == lay.centralized_ids
-    assert cells.nc == 2 and cells.n_inst == 2
-    assert cells.row_len == 2 * 2 + 2 * 2
-
-    extra = [i for i in range(lay.n_bs) if i not in lay.centralized_ids]
-    bg = assemble_cells(lay, geo, phy, interference_ids=extra)
-    assert bg.nc == 2 and bg.n_inst == lay.n_bs
-    assert bg.row_len == 2 * 6 + 6 * 2
-
-    with pytest.raises(ValueError, match="overlap"):
-        assemble_cells(
-            lay, geo, phy, interference_ids=(lay.centralized_ids[0],)
-        )
-    with pytest.raises(ValueError, match="out of range"):
-        assemble_cells(lay, geo, phy, scheduled_ids=(99,))
-    with pytest.raises(ValueError, match="duplicate"):
-        assemble_cells(lay, geo, phy, scheduled_ids=(0, 0))
-
-
 def test_assemble_cells_validation():
     lay, geo, phy = small_system(nc=2)
     cells = assemble_cells(lay, geo, phy)
@@ -544,19 +519,19 @@ def test_assemble_cells_validation():
     assert cells.nc == 2 and cells.n_inst == 2
     assert cells.row_len == 2 * 2 + 2 * 2
 
-    extra = [i for i in range(lay.n_bs) if i not in lay.centralized_ids]
-    bg = assemble_cells(lay, geo, phy, interference_ids=extra)
+    bg = assemble_cells(lay, geo, phy, background=True)
     assert bg.nc == 2 and bg.n_inst == lay.n_bs
     assert bg.row_len == 2 * 6 + 6 * 2
+    # the centralized cells first, then the rest in ascending id order
+    rest = sorted(set(range(lay.n_bs)) - set(lay.centralized_ids))
+    assert bg.cell_ids == lay.centralized_ids + tuple(rest)
+    np.testing.assert_array_equal(
+        bg.bs_xy, lay.bs_positions[list(bg.cell_ids)]
+    )
 
-    with pytest.raises(ValueError, match="overlap"):
-        assemble_cells(
-            lay, geo, phy, interference_ids=(lay.centralized_ids[0],)
-        )
-    with pytest.raises(ValueError, match="out of range"):
-        assemble_cells(lay, geo, phy, scheduled_ids=(99,))
-    with pytest.raises(ValueError, match="duplicate"):
-        assemble_cells(lay, geo, phy, scheduled_ids=(0, 0))
+    other = generate_layout("uniform-random", 5, lay.arena, 2, seed=3)
+    with pytest.raises(ValueError, match="geometry covers 6 cells"):
+        assemble_cells(other, geo, phy)
 
 
 # --------------------------------------------------------------------- SINR
