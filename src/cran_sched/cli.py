@@ -284,12 +284,6 @@ def build_campaign(rc: RunConfig) -> CampaignConfig:
     )
 
 
-def _write_campaign_files(result, out_dir: str) -> None:
-    harness.write_per_trial_csv(result, os.path.join(out_dir, "per_trial.csv"))
-    harness.write_cdf_csvs(result, out_dir)
-    harness.write_summary_csv(result, os.path.join(out_dir, "summary.csv"))
-
-
 def _manifest(rc: RunConfig, args, command: str, c_server=None) -> None:
     harness.write_manifest(
         os.path.join(args.out, "manifest.json"),
@@ -317,7 +311,10 @@ def cmd_run(rc: RunConfig, args) -> int:
     config = build_campaign(rc)
     log.info("running campaign (%d trials)", config.n_trials)
     result = harness.run_campaign(config)
-    _write_campaign_files(result, args.out)
+    out = args.out
+    harness.write_per_trial_csv(result, os.path.join(out, "per_trial.csv"))
+    harness.write_cdf_csvs(result, out)
+    harness.write_summary_csv(result, os.path.join(out, "summary.csv"))
     _manifest(rc, args, "run", c_server=result.c_server)
     for name in result.schedulers:
         log.info(
@@ -325,7 +322,7 @@ def cmd_run(rc: RunConfig, args) -> int:
             name, result.mean_sum_rate(name), result.outage_rate(name),
         )
     if args.stdout:
-        with open(os.path.join(args.out, "summary.csv"), "r") as fh:
+        with open(os.path.join(out, "summary.csv"), "r") as fh:
             sys.stdout.write(fh.read())
     return 0
 
@@ -362,15 +359,15 @@ def _run_sweep(rc: RunConfig, args, command: str, points, value_name) -> int:
 def cmd_sweep_nc(rc: RunConfig, args) -> int:
     config = build_campaign(rc)
     log.info("sweeping scheduled-cell counts %s", list(rc.nc_values))
-    points = harness._nc_points(config, rc.nc_values, None)
+    points = harness.sweep_nc(config, rc.nc_values)
     return _run_sweep(rc, args, "sweep-nc", points, "nc")
 
 
 def cmd_sweep_lambda(rc: RunConfig, args) -> int:
     config = build_campaign(rc)
     log.info("sweeping user densities %s", list(rc.lambda_values))
-    points = harness._lambda_points(
-        config, rc.lambda_values, rc.reference_lambda, None
+    points = harness.sweep_lambda(
+        config, rc.lambda_values, rc.reference_lambda
     )
     return _run_sweep(rc, args, "sweep-lambda", points, "lambda")
 

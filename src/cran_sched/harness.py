@@ -40,6 +40,7 @@ import logging
 import math
 import os
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain
 
@@ -307,10 +308,22 @@ def _position_terms(cells: CellArrays, phy: PhyParams) -> np.ndarray:
     if _TERMS is None or not all(
         np.array_equal(a, b) for a, b in zip(_TERMS[0], key)
     ):
-        _TERMS = key, batch.position_terms(
-            cells.pool_xy, cells.pool_off, cells.bs_xy, MIN_DISTANCE_KM,
-            cells.nc, phy.pathloss_exponent, phy.s,
-        )
+        try:
+            terms = batch.position_terms(
+                cells.pool_xy, cells.pool_off, cells.bs_xy, MIN_DISTANCE_KM,
+                cells.nc, phy.pathloss_exponent, phy.s,
+            )
+        except OverflowError:
+            # the terms are distance ** (s * apl, (s - 1) * apl, -apl); no
+            # distance exceeds the span of the points and the BSs
+            xy = np.vstack((cells.pool_xy, cells.bs_xy))
+            span = float(np.hypot(*np.ptp(xy, axis=0)))
+            raise OverflowError(
+                f"pathloss_exponent = {phy.pathloss_exponent!r} with s = "
+                f"{phy.s!r} overflows a float in the power terms of users "
+                f"{MIN_DISTANCE_KM!r} to {span:.4g} km from a base station"
+            ) from None
+        _TERMS = key, terms
     return _TERMS[1]
 
 
@@ -502,19 +515,16 @@ def sweep_nc(
     config: CampaignConfig,
     nc_values,
     geometry: CellGeometry | None = None,
-) -> list[SweepPoint]:
-    """Campaigns across scheduled-cell counts.
+) -> Iterator[SweepPoint]:
+    """Campaigns across scheduled-cell counts, each :class:`SweepPoint`
+    yielded as its campaign finishes (``list(...)`` for a list).
 
     Each point re-selects the ``nc`` most-central base stations and, when
     the config targets an outage, recalibrates the budget for that cell set
     (an explicit ``c_server`` is kept as given).  All points share the
-    layout's geometry and the master seed.
+    layout's geometry and the master seed.  Every value is checked before
+    the first campaign runs, at the first ``next()``.
     """
-    return list(_nc_points(config, nc_values, geometry))
-
-
-def _nc_points(config, nc_values, geometry):
-    """:func:`sweep_nc`'s points, each yielded as it finishes."""
     values = [int(nc) for nc in nc_values]
     for nc in values:
         if not 1 <= nc <= config.layout.n_bs:
@@ -536,22 +546,18 @@ def sweep_lambda(
     lambda_values,
     reference_lambda: float | None = None,
     geometry: CellGeometry | None = None,
-) -> list[SweepPoint]:
-    """Campaigns across user densities with one fixed budget.
+) -> Iterator[SweepPoint]:
+    """Campaigns across user densities with one fixed budget, each
+    :class:`SweepPoint` yielded as its campaign finishes (``list(...)`` for
+    a list).
 
     The budget is calibrated once at ``reference_lambda`` (default: the
     first swept value) and held fixed across the sweep; an explicit
     ``c_server`` in the config skips the calibration.  All points share the
     master seed, so the underlying uniforms are common random numbers and
-    occupancy grows monotonically with the density.
+    occupancy grows monotonically with the density.  The values are checked
+    before the first campaign runs, at the first ``next()``.
     """
-    return list(
-        _lambda_points(config, lambda_values, reference_lambda, geometry)
-    )
-
-
-def _lambda_points(config, lambda_values, reference_lambda, geometry):
-    """:func:`sweep_lambda`'s points, each yielded as it finishes."""
     values = [float(v) for v in lambda_values]
     if not values:
         raise ValueError("lambda_values must be non-empty")
@@ -648,13 +654,17 @@ def _per_trial_blocks(result: CampaignResult):
 def write_summary_csv(result: CampaignResult, path) -> None:
     """`scheduler,mean_sum_rate,outage_rate,c_server` rows."""
     lines = ["scheduler,mean_sum_rate,outage_rate,c_server"]
-    for name in result.schedulers:
-        s = result.series[name]
-        lines.append(
-            f"{name},{s.mean_sum_rate!r},{s.outage_rate!r},"
-            f"{result.c_server!r}"
-        )
+    lines.extend(_summary_rows(result))
     _atomic_write([path], ["\n".join(lines) + "\n"])
+
+
+def _summary_rows(result: CampaignResult, prefix: str = "") -> list[str]:
+    """One summary row per scheduler, each led by ``prefix``."""
+    return [
+        f"{prefix}{name},{result.mean_sum_rate(name)!r},"
+        f"{result.outage_rate(name)!r},{result.c_server!r}"
+        for name in result.schedulers
+    ]
 
 
 def write_cdf_csvs(result: CampaignResult, out_dir) -> list[str]:
@@ -721,17 +731,12 @@ def write_sweep_csv(points, value_name: str, path) -> None:
     """Sweep summary: one row per (point, scheduler).  ``points`` may be an
     iterator of :class:`SweepPoint`; none is held once its rows are made."""
     lines = [f"{value_name},scheduler,mean_sum_rate,outage_rate,c_server"]
-    lines.extend(chain.from_iterable(map(_sweep_rows, points)))
+    # map, not a generator expression, whose loop variable would keep the
+    # last point alive while the next one is computed
+    lines.extend(chain.from_iterable(map(
+        lambda pt: _summary_rows(pt.result, f"{pt.value!r},"), points
+    )))
     _atomic_write([path], ["\n".join(lines) + "\n"])
-
-
-def _sweep_rows(pt: SweepPoint) -> list[str]:
-    res = pt.result
-    return [
-        f"{pt.value!r},{name},{res.mean_sum_rate(name)!r},"
-        f"{res.outage_rate(name)!r},{res.c_server!r}"
-        for name in res.schedulers
-    ]
 
 
 def write_manifest(

@@ -4,9 +4,12 @@ Three discrete allocators run the batched schedulers of :mod:`.batch` on a
 block of one trial: ``mrs`` (every user at its highest feasible
 entry, no budget), ``swf_discrete`` (water-level-guided step-down with a
 re-add pass, close to the continuous optimum) and ``scc`` (step down the
-most expensive user, a cheaper heuristic).  ``continuous_waterfill`` solves
-the relaxed problem exactly on the quadratic cost model by bisection on the
-water level; the optimality tests check KKT conditions against it.
+most expensive user, a cheaper heuristic).  All three are one function
+body, ``_allocate``: it guards each user's capacity gap, runs the
+scheduler on a one-row block and reads the allocation back.
+``continuous_waterfill`` solves the relaxed problem exactly on the
+quadratic cost model by bisection on the water level; the optimality tests
+check KKT conditions against it.
 
 All argmax ties break toward the earliest user in the input list, so results
 are reproducible for any caller that presents users in a fixed order.
@@ -191,52 +194,6 @@ def continuous_waterfill(
     )
 
 
-def _user_arrays(
-    users: list[UserChannel], table: McsTable
-) -> tuple[np.ndarray, np.ndarray]:
-    """Max-feasible entry and capacity arrays in input order, with the gap
-    guard pre-checked.
-
-    The greedy kernels take ``log2`` of the capacity gap at the max feasible
-    entry, so any user sitting closer than GAP_GUARD to capacity is rejected
-    here.  Capacities use the scalar ``math.log2`` of the campaign kernel,
-    so an allocation equals the campaign's for the same SINRs, bit for bit.
-    """
-    sinr = np.array([u.sinr for u in users], dtype=np.float64)
-    mf = batch.max_feasible(table.thresholds, sinr)
-    cap = np.array([
-        _guarded_capacity(u.sinr, table.rates[i]) if i >= 0 else u.capacity
-        for u, i in zip(users, mf)
-    ], dtype=np.float64)
-    return mf, cap
-
-
-def _build_allocation(
-    users: list[UserChannel],
-    table: McsTable,
-    idx: np.ndarray,
-    comp: np.ndarray,
-    sum_rate: float,
-    sum_complexity: float,
-    budget: float | None,
-) -> RateAllocation:
-    entries = tuple(
-        RateEntry(
-            user_id=u.user_id,
-            mcs_index=int(idx[k]) if idx[k] >= 0 else None,
-            rate=float(table.rates[idx[k]]) if idx[k] >= 0 else 0.0,
-            complexity=float(comp[k]),
-        )
-        for k, u in enumerate(users)
-    )
-    return RateAllocation(
-        entries=entries,
-        sum_rate=float(sum_rate),
-        sum_complexity=float(sum_complexity),
-        budget=budget,
-    )
-
-
 def _allocate(
     kind,
     users: list[UserChannel],
@@ -250,13 +207,33 @@ def _allocate(
         budget = float(budget)
         if not budget >= 0.0:
             raise ValueError(f"budget must be >= 0, got {budget}")
-    mf, cap = _user_arrays(users, table)
+    # the greedy kernels take log2 of the capacity gap at the max feasible
+    # entry, so a user closer than GAP_GUARD to capacity is rejected here;
+    # capacities use the campaign kernel's scalar math.log2, so an
+    # allocation equals the campaign's for the same SINRs, bit for bit
+    sinr = np.array([u.sinr for u in users], dtype=np.float64)
+    mf = batch.max_feasible(table.thresholds, sinr)
+    cap = np.array([
+        _guarded_capacity(u.sinr, table.rates[i]) if i >= 0 else u.capacity
+        for u, i in zip(users, mf)
+    ], dtype=np.float64)
     idx, comp, sum_rate, sum_comp = batch.schedule_block(
         kind, mf[None], cap[None], table.rates, *params.kernel_constants(),
         math.inf if budget is None else budget,
     )
-    return _build_allocation(
-        users, table, idx[0], comp[0], sum_rate[0], sum_comp[0], budget
+    return RateAllocation(
+        entries=tuple(
+            RateEntry(
+                user_id=u.user_id,
+                mcs_index=int(i) if i >= 0 else None,
+                rate=float(table.rates[i]) if i >= 0 else 0.0,
+                complexity=float(c),
+            )
+            for u, i, c in zip(users, idx[0], comp[0])
+        ),
+        sum_rate=float(sum_rate[0]),
+        sum_complexity=float(sum_comp[0]),
+        budget=budget,
     )
 
 

@@ -211,7 +211,8 @@ def test_criterion_04_budget_schedulers_lose_little_rate(campaigns):
 
 
 def test_criterion_05_swf_and_scc_stay_marginally_apart():
-    pts = sweep_nc(reference_config(epsilon=0.1), [2, 4, 6, 8, 10])
+    pts = list(sweep_nc(reference_config(epsilon=0.1), [2, 4, 6, 8, 10]))
+    assert len(pts) == 5
     gaps = []
     for pt in pts:
         res = pt.result
@@ -231,7 +232,8 @@ def test_criterion_05_swf_and_scc_stay_marginally_apart():
 
 def test_criterion_06_density_sweep_shape():
     cfg = reference_config(epsilon=0.1)
-    pts = sweep_lambda(cfg, [0.5, 1.0, 2.0, 4.0])
+    pts = list(sweep_lambda(cfg, [0.5, 1.0, 2.0, 4.0]))
+    assert len(pts) == 4
     mrs_out = [pt.result.outage_rate("mrs") for pt in pts]
     swf_out = [pt.result.outage_rate("swf") for pt in pts]
     scc_out = [pt.result.outage_rate("scc") for pt in pts]

@@ -269,7 +269,22 @@ def test_main_reports_an_overflowing_value(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SMALL + "pathloss_exponent = 200\n")
     code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "pathloss_exponent = 200.0" in err
+
+
+def test_main_reports_an_overflowing_distance(tmp_path, capsys):
+    # a user ~1e90 km from a BS overflows d ** (s * pathloss_exponent)
+    body = SMALL.replace("arena_km = 8.0", "arena_km = 1e90")
+    cfg = write_cfg(tmp_path, body + "s = 1.0\n")
+    code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "pathloss_exponent = 3.7 with s = 1.0" in err
+    # no distance exceeds the arena diagonal, 1.4e90 km
+    assert re.search(r"to \d\.\d+e\+(89|90) km from a base station", err)
 
 
 def test_run_at_fixed_budget_skips_the_calibration_floor(tmp_path):

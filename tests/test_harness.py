@@ -1,11 +1,14 @@
 """Campaign orchestration tests: calibration, paired draws, files."""
 
 import dataclasses
+import gc
 import json
 import logging
 import math
 import os
 import warnings
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -518,16 +521,16 @@ def test_library_allocations_equal_the_campaign(campaign):
 
 def test_sweep_nc_reselects_and_recalibrates(campaign):
     cfg, _ = campaign
-    pts = sweep_nc(dataclasses.replace(cfg, n_trials=2000), [1, 3])
+    pts = list(sweep_nc(dataclasses.replace(cfg, n_trials=2000), [1, 3]))
     assert [pt.value for pt in pts] == [1.0, 3.0]
     # budgets are recalibrated per point, so more cells cost more
     assert pts[1].result.c_server > pts[0].result.c_server
     for pt in pts:
         assert pt.result.outage_rate("swf") == 0.0
     with pytest.raises(ValueError, match="nc must be"):
-        sweep_nc(cfg, [0])
+        list(sweep_nc(cfg, [0]))
     with pytest.raises(ValueError, match="nc must be"):
-        sweep_nc(cfg, [cfg.layout.n_bs + 1])
+        list(sweep_nc(cfg, [cfg.layout.n_bs + 1]))
 
 
 def test_sweep_nc_checks_every_value_before_the_first_campaign(monkeypatch):
@@ -537,23 +540,23 @@ def test_sweep_nc_checks_every_value_before_the_first_campaign(monkeypatch):
         harness, "run_campaign", lambda *args, **kw: calls.append(args)
     )
     with pytest.raises(ValueError, match="nc must be"):
-        sweep_nc(cfg, [2, cfg.layout.n_bs + 1])
+        list(sweep_nc(cfg, [2, cfg.layout.n_bs + 1]))
     assert calls == []
 
 
 def test_sweep_lambda_holds_budget_fixed(campaign):
     cfg, _ = campaign
-    pts = sweep_lambda(
+    pts = list(sweep_lambda(
         dataclasses.replace(cfg, n_trials=2000), [0.5, 1.0, 2.0]
-    )
+    ))
     budgets = {pt.result.c_server for pt in pts}
     assert len(budgets) == 1
     outs = [pt.result.outage_rate("mrs") for pt in pts]
     assert all(b >= a - 1e-12 for a, b in zip(outs, outs[1:]))
     with pytest.raises(ValueError, match="non-empty"):
-        sweep_lambda(cfg, [])
+        list(sweep_lambda(cfg, []))
     with pytest.raises(ValueError, match="lambda_density must be > 0"):
-        sweep_lambda(cfg, [0.5], reference_lambda=0.0)
+        list(sweep_lambda(cfg, [0.5], reference_lambda=0.0))
 
 
 def test_sweep_lambda_explicit_budget_skips_calibration(campaign, monkeypatch):
@@ -566,12 +569,47 @@ def test_sweep_lambda_explicit_budget_skips_calibration(campaign, monkeypatch):
     fixed = dataclasses.replace(
         cfg, n_trials=2000, epsilon=None, c_server=42.0
     )
-    pts = sweep_lambda(fixed, [0.5, 1.0])
+    pts = list(sweep_lambda(fixed, [0.5, 1.0]))
     assert all(pt.result.c_server == 42.0 for pt in pts)
     # nor does a campaign given a budget
     small = dataclasses.replace(cfg, n_trials=1000)
     assert run_campaign(fixed).c_server == 42.0
     assert run_campaign(small, c_server=50.0).c_server == 50.0
+
+
+@pytest.mark.parametrize(
+    "sweep, values",
+    [(sweep_nc, [1, 2, 3]), (sweep_lambda, [0.5, 1.0, 2.0])],
+    ids=["sweep_nc", "sweep_lambda"],
+)
+def test_library_sweeps_drop_each_point_before_the_next(
+    sweep, values, monkeypatch
+):
+    # a sweep yields each point as its campaign finishes and keeps none,
+    # so a caller that drops a point holds one campaign's arrays at a time
+    real_run = harness.run_campaign
+    results, alive = [], []
+
+    def tracked_run(*args, **kwargs):
+        gc.collect()
+        alive.append([ref() is not None for ref in results])
+        result = real_run(*args, **kwargs)
+        results.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(harness, "run_campaign", tracked_run)
+    points = iter(sweep(small_config(n_trials=1000), values))
+    seen = []
+    # next() and del, not a for loop, whose variable would keep the last
+    # point alive while the next one is computed
+    for _ in values:
+        pt = next(points)
+        seen.append(pt.value)
+        del pt
+    with pytest.raises(StopIteration):
+        next(points)
+    assert seen == [float(v) for v in values]
+    assert alive == [[False] * k for k in range(len(values))]
 
 
 def counted_position_terms(monkeypatch):
@@ -599,13 +637,13 @@ def test_position_terms_are_built_once_per_cell_set(monkeypatch):
     assert built == [3]
     # every density shares the cell set, in one process or forked workers
     for workers in (1, 2):
-        sweep_lambda(
+        list(sweep_lambda(
             dataclasses.replace(cfg, workers=workers), [0.5, 2.0],
             geometry=geometry,
-        )
+        ))
     assert built == [3]
     # another cell count is another cell set, and the last one is kept
-    sweep_nc(cfg, [2, 2, 3], geometry=geometry)
+    list(sweep_nc(cfg, [2, 2, 3], geometry=geometry))
     assert built == [3, 2, 3]
 
 
@@ -762,7 +800,7 @@ def test_cdf_csvs(campaign, tmp_path):
     assert len(paths) == 2 * len(res.schedulers)
     name = os.path.join(tmp_path, "cdf_swf_sum_rate.csv")
     assert name in paths
-    lines = open(name).read().splitlines()
+    lines = Path(name).read_text().splitlines()
     assert lines[0] == "value,fraction"
     table = empirical_cdf(res.series["swf"].sum_rate)
     assert len(lines) == 1 + len(table)
@@ -788,10 +826,10 @@ def test_each_cdf_csv_holds_its_own_table(campaign, tmp_path):
 
 def test_sweep_csv(campaign, tmp_path):
     cfg, res = campaign
-    pts = sweep_lambda(
+    pts = list(sweep_lambda(
         dataclasses.replace(cfg, n_trials=2000, epsilon=None, c_server=50.0),
         [0.5, 1.0],
-    )
+    ))
     path = tmp_path / "sweep_lambda.csv"
     write_sweep_csv(pts, "lambda_density", path)
     lines = path.read_text().splitlines()
