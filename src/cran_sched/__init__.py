@@ -73,61 +73,3 @@ from .sched import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "GAP_GUARD",
-    "MIN_DISTANCE_KM",
-    "DEFAULT_RATES",
-    "Arena",
-    "CellArrays",
-    "CampaignConfig",
-    "CampaignResult",
-    "CellGeometry",
-    "ContinuousSolution",
-    "DomainError",
-    "LayoutError",
-    "LinearizationCoeffs",
-    "McsTable",
-    "ModelParams",
-    "NetworkLayout",
-    "PhyParams",
-    "RateAllocation",
-    "RateEntry",
-    "SchedulerSeries",
-    "SweepPoint",
-    "assemble_cells",
-    "UserChannel",
-    "budget_from_samples",
-    "build_table",
-    "calibrate_budget",
-    "continuous_waterfill",
-    "db_to_linear",
-    "decode_complexity",
-    "default_table",
-    "empirical_cdf",
-    "estimate_cell_areas",
-    "gap",
-    "generate_layout",
-    "iteration_count",
-    "linearize",
-    "load_layout",
-    "load_rates",
-    "max_feasible_index",
-    "most_central_ids",
-    "mrs",
-    "occupancy_probability",
-    "quadratic_complexity",
-    "required_water_level",
-    "run_campaign",
-    "save_layout",
-    "scc",
-    "swf_discrete",
-    "sweep_lambda",
-    "sweep_nc",
-    "write_cdf_csvs",
-    "write_manifest",
-    "write_per_trial_csv",
-    "write_summary_csv",
-    "write_sweep_csv",
-    "__version__",
-]

@@ -31,7 +31,9 @@ rules (the README's "Kernels" section gives the measurements):
 * The power terms that depend only on a user's position are computed once
   per pool point and cell set (:func:`position_terms`) and read back by
   index; the products keep the scalar order ``((p0 * tx) * fading) *
-  loss``, and the pairs the scalar loop skips add ``0.0``.
+  loss``, and the pairs the scalar loop skips add ``0.0``: a user's own
+  cell slot holds its signal term in the table and ``0.0`` in the
+  interference sum.
 
 The libm calls dominate the cost, so they are made only where their
 results are used.  Only the rows whose max-rate cost exceeds the budget run
@@ -51,13 +53,14 @@ from .complexity import cost, tangent, water_level
 
 log = logging.getLogger(__name__)
 
-# position-term columns: d_serv**(s*apl), d_serv**((s-1)*apl), then
-# cross**(-apl) to the BS of each scheduled cell
-_TX, _SIG, _LOSS = 0, 1, 2
+# position-term columns: d_serv**(s*apl), then cross**(-apl) to the BS of
+# each scheduled cell, except that a scheduled cell's point holds its signal
+# term d_serv**((s-1)*apl) in its own cell's column
+_TX, _LOSS = 0, 1
 
 # a position-term table is built in blocks of about this many elements of
 # pool points x scheduled cells
-TERMS_ELEMENTS = 2**16
+TERMS_ELEMENTS = 2**14
 
 # whether each libm function runs through _libm in this process, decided by
 # its probe on first use
@@ -194,21 +197,17 @@ def distances(xy, owner, bs_xy, dmin, nc):
 def _power_terms(rows, owner, d_serv, cross, nc, apl, s):
     """Fill ``rows`` with the position terms (see the column names above)
     of users in cells ``owner`` at serving distances ``d_serv`` and
-    distances ``cross`` to the scheduled cells' BSs.  The loss of a
-    scheduled cell's user to its own cell is set to ``0.0``; the signal term
-    of a background cell's user is left as it was."""
+    distances ``cross`` to the scheduled cells' BSs.  A scheduled cell's
+    user holds its signal term in its own cell's column."""
     rows[:, _TX] = _each(pow, d_serv, s * apl)
-    own = np.flatnonzero(owner < nc)
-    rows[own, _SIG] = _each(pow, d_serv[own], (s - 1.0) * apl)
     rows[:, _LOSS:] = _each(pow, cross.ravel(), -apl).reshape(cross.shape)
-    rows[own, _LOSS + owner[own]] = 0.0
+    own = np.flatnonzero(owner < nc)
+    rows[own, _LOSS + owner[own]] = _each(pow, d_serv[own], (s - 1.0) * apl)
 
 
 def position_terms(pool_xy, pool_off, bs_xy, dmin, nc, apl, s):
     """One row per pool point of the power terms a user there contributes
-    to the SINR (see the column names above).  A point's loss to its own
-    cell and, in a background cell, its signal term are never used and are
-    ``0.0``."""
+    to the SINR (see the column names above)."""
     n_points = pool_xy.shape[0]
     owners = np.repeat(np.arange(pool_off.size - 1), np.diff(pool_off))
     terms = np.zeros((n_points, _LOSS + nc))
@@ -240,8 +239,11 @@ def fading_gains(u_fade, pair):
     the gains are floored at 1e-300, strictly positive as the fading model
     promises."""
     fading = np.zeros(pair.shape)
-    f = -_each(math.log1p, -u_fade.reshape(pair.shape)[pair])
-    fading[pair] = np.where(f > 0.0, f, 1e-300)
+    u = u_fade.reshape(pair.shape)[pair]
+    f = _each(math.log1p, np.negative(u, out=u))
+    np.negative(f, out=f)
+    f[~(f > 0.0)] = 1e-300
+    fading[pair] = f
     return fading
 
 
@@ -251,14 +253,18 @@ def sinr_from_terms(at, fading, p0, noise):
     the fading gains (rows x n_inst x nc), which are ``0.0`` on the pairs
     that are not both occupied: fractionally power-controlled signal over
     noise plus the interference of every other occupied cell.  The zero
-    gains and the zero own-cell loss make the other pairs add ``0.0``."""
+    gains, and the own-cell slots set to ``0.0`` once the signal terms are
+    read from them, make the other pairs add ``0.0``.  Overwrites ``at``'s
+    own-cell slots and ``fading``, which both callers pass fresh."""
     rows, n_inst, nc = fading.shape
-    term = (p0 * at[:, :, _TX])[:, :, None] * fading * at[:, :, _LOSS:]
+    diag = np.arange(nc)
+    num = p0 * fading[:, diag, diag] * at[:, diag, _LOSS + diag]
+    at[:, diag, _LOSS + diag] = 0.0
+    term = np.multiply((p0 * at[:, :, _TX])[:, :, None], fading, out=fading)
+    term *= at[:, :, _LOSS:]
     den = np.full((rows, nc), noise)
     for i in range(n_inst):
         den += term[:, i, :]
-    diag = np.arange(nc)
-    num = p0 * fading[:, diag, diag] * at[:, :nc, _SIG]
     return num / den
 
 

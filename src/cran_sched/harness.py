@@ -27,14 +27,18 @@ bit.
 Both streams draw users from the same cell pools, so the power terms that
 depend only on a user's position are computed once per cell set
 (``batch.position_terms``) and shared: the module keeps the most recent
-table, keyed by value, so a calibration, the evaluation after it and every
-point of a density sweep use one table, and forked workers inherit it.
+table, keyed by the cell set's small arrays and scalars and a digest of its
+pool's bytes, so a calibration, the evaluation after it and every point of
+a density sweep use one table, and forked workers inherit it.  The key
+holds no pool, and a campaign drops its cell set before its chunks run, so
+no copy of the pool outlives the table's build.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import hashlib
 import json
 import logging
 import math
@@ -299,10 +303,12 @@ def _payload(
 
 def _position_terms(cells: CellArrays, phy: PhyParams) -> np.ndarray:
     """``batch.position_terms`` of ``cells``, built only when the cell set
-    differs from the last one asked for."""
+    differs from the last one asked for.  The pool is keyed by the SHA-1 of
+    its bytes, so that the key keeps no pool alive."""
     global _TERMS
     key = (
-        cells.cell_ids, cells.nc, cells.bs_xy, cells.pool_off, cells.pool_xy,
+        cells.cell_ids, cells.nc, cells.bs_xy, cells.pool_off,
+        hashlib.sha1(np.ascontiguousarray(cells.pool_xy)).digest(),
         phy.pathloss_exponent, phy.s,
     )
     if _TERMS is None or not all(
@@ -432,6 +438,8 @@ def calibrate_budget(
         cells, config.table, config.model, config.phy,
         config.seed, CALIBRATION_STREAM, budget=math.inf, kinds=[batch.mrs],
     )
+    # the payload holds what the kernels read; the pool goes with the cells
+    del cells
     cost = _run_chunks(payload, trials, config.workers)[1][:, 0, 1]
     c_server = float(np.sort(cost)[trials - 1 - k])
     over = int(np.count_nonzero(cost > c_server))
@@ -471,6 +479,7 @@ def run_campaign(
         cells, config.table, config.model, config.phy,
         config.seed, EVAL_STREAM, float(c_server), kinds,
     )
+    del cells
     n_active, out = _run_chunks(payload, config.n_trials, config.workers)
 
     series: dict[str, SchedulerSeries] = {}

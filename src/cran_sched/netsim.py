@@ -63,6 +63,14 @@ class Arena:
                 f"arena must have positive extent, got "
                 f"({self.xmin}, {self.ymin}, {self.xmax}, {self.ymax})"
             )
+        # a squared distance across the arena must stay finite, or no
+        # sample point finds its nearest BS
+        if not math.isfinite(self.width * self.width
+                             + self.height * self.height):
+            raise LayoutError(
+                f"arena extent {self.width!r} x {self.height!r} km is too "
+                f"large: its squared diagonal overflows a float"
+            )
 
     @property
     def width(self) -> float:

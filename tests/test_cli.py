@@ -287,6 +287,23 @@ def test_main_reports_an_overflowing_distance(tmp_path, capsys):
     assert re.search(r"to \d\.\d+e\+(89|90) km from a base station", err)
 
 
+def test_main_rejects_an_arena_too_large_to_square(tmp_path, capsys):
+    # 1e200 km squared overflows a float, which would leave every cell's
+    # point pool empty; 1e150 km runs, every user too far to get a rate
+    for arena_km, code in ("1e200", 2), ("1e150", 0):
+        body = SMALL.replace("arena_km = 8.0", f"arena_km = {arena_km}")
+        out = tmp_path / arena_km
+        cfg = write_cfg(tmp_path, body)
+        assert main(["run", "--config", cfg, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "error: arena extent 1e+200 x 1e+200 km is too large" in err
+    rates = [
+        float(row.split(",")[1])
+        for row in (out / "summary.csv").read_text().splitlines()[1:]
+    ]
+    assert rates == [0.0] * 4
+
+
 def test_run_at_fixed_budget_skips_the_calibration_floor(tmp_path):
     # a fixed c_server draws no calibration trials, so their floor is moot
     body = SMALL.replace("calibration_trials = 1000",

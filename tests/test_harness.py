@@ -36,7 +36,7 @@ from cran_sched import (
     write_summary_csv,
     write_sweep_csv,
 )
-from cran_sched import batch, cli, harness
+from cran_sched import batch, cli, harness, kernels
 from cran_sched.harness import SCHEDULERS
 
 BENCH_CONFIGS = os.path.join(
@@ -645,6 +645,36 @@ def test_position_terms_are_built_once_per_cell_set(monkeypatch):
     # another cell count is another cell set, and the last one is kept
     list(sweep_nc(cfg, [2, 2, 3], geometry=geometry))
     assert built == [3, 2, 3]
+
+
+def test_campaigns_hold_no_cell_pool_while_their_chunks_run(monkeypatch):
+    # the position-term cache keys on a digest, not on the pool, and each
+    # campaign drops its cell set once its payload is built, so neither the
+    # calibration's pool nor the evaluation's outlives the table's build
+    cfg = small_config(n_trials=1000, background_interference=True)
+    geometry = harness.campaign_geometry(cfg)
+    built = counted_position_terms(monkeypatch)
+    pools = []
+    make_cells = harness.campaign_cells
+
+    def tracked_cells(*args):
+        cells = make_cells(*args)
+        pools.append(weakref.ref(cells.pool_xy))
+        return cells
+
+    alive = []
+    run_chunk = kernels.run_chunk
+
+    def checked(*args):
+        alive.append([pool() is not None for pool in pools])
+        return run_chunk(*args)
+
+    monkeypatch.setattr(harness, "campaign_cells", tracked_cells)
+    monkeypatch.setattr(kernels, "run_chunk", checked)
+    run_campaign(cfg, geometry, c_server=calibrate_budget(cfg, geometry))
+    assert built == [3]
+    assert alive == [[False], [False, False]]
+    assert [pool() for pool in pools] == [None, None]
 
 
 # ------------------------------------------------------------ result files

@@ -475,8 +475,9 @@ def test_campaign_runs_each_scheduler_once_per_chunk(monkeypatch):
 
 def scalar_terms(cells, phy):
     """Each pool point's power terms as the scalar ``sinr_trial`` computes
-    them, one ``pow`` call each, with ``0.0`` for the unused ones: the
-    point's loss to its own cell and a background point's signal term."""
+    them, one ``pow`` call each: the transmit term, then the loss to each
+    scheduled cell, except that a scheduled cell's point holds its signal
+    term in its own cell's slot."""
     apl, s, dmin = phy.pathloss_exponent, phy.s, harness.MIN_DISTANCE_KM
     rows = []
     for owner in range(cells.n_inst):
@@ -490,10 +491,10 @@ def scalar_terms(cells, phy):
 
             d_serv = dist(owner)
             rows.append([
-                d_serv ** (s * apl),
-                d_serv ** ((s - 1.0) * apl) if owner < cells.nc else 0.0,
+                pow(d_serv, s * apl),
                 *(
-                    0.0 if k == owner else dist(k) ** (-apl)
+                    pow(d_serv, (s - 1.0) * apl) if k == owner
+                    else pow(dist(k), -apl)
                     for k in range(cells.nc)
                 ),
             ])
@@ -511,12 +512,8 @@ def test_position_terms_equal_the_scalar_power_terms(monkeypatch):
         cells.nc, phy.pathloss_exponent, phy.s,
     )
     want = scalar_terms(cells, phy)
-    assert terms.shape == want.shape == (cells.pool_xy.shape[0], 2 + cells.nc)
+    assert terms.shape == want.shape == (cells.pool_xy.shape[0], 1 + cells.nc)
     np.testing.assert_array_equal(bits(terms), bits(want))
-    # each scheduled cell's own column is zero for its points only
-    owner = np.repeat(np.arange(cells.n_inst), np.diff(cells.pool_off))
-    for k in range(cells.nc):
-        np.testing.assert_array_equal(terms[:, 2 + k] == 0.0, owner == k)
 
 
 def test_pool_point_drawn_in_two_blocks_equals_scalar():

@@ -41,6 +41,10 @@ def test_arena_properties_and_validation():
         Arena(0.0, 0.0, 0.0, 1.0)
     with pytest.raises(LayoutError, match="extent"):
         Arena(0.0, 2.0, 1.0, 1.0)
+    # the squared diagonal must be a finite float
+    with pytest.raises(LayoutError, match="extent 1e\\+200 x 1.0 km"):
+        Arena(0.0, 0.0, 1e200, 1.0)
+    assert Arena(0.0, 0.0, 1e150, 1e150).width == 1e150
 
 
 def test_network_layout_validation():
