@@ -2,15 +2,16 @@
 
 This is the one implementation of the per-trial algorithms.  Its functions
 work on a block of trials, one row per trial and any number of rows:
-``harness`` calls :func:`run_chunk` once per campaign chunk, which computes
-the channel a block at a time and runs each greedy scheduler once, on the
-chunk's rows over budget; the public per-trial kernels of :mod:`.kernels`
-run the same functions on one row.  Inactive users stay in place as
-padding (no ladder entry, cost ``0.0``), so every array is (rows x cells)
-and a trial's users keep their cell order.  A scheduler is a function of
-a block, :func:`mrs`, :func:`swf` or :func:`scc`, all with one signature,
-which :func:`schedule_block` and :func:`run_chunk` call; the cost, tangent
-and water-level formulas are :mod:`.complexity`'s.
+``harness`` calls :func:`run_chunk` once per campaign chunk, on blocks of
+the chunk's uniform rows, plain arrays; it computes the channel a block at
+a time and runs each greedy scheduler once, on the chunk's rows over
+budget.  The per-trial kernels of :mod:`.kernels` run the same functions on
+one row.  Inactive users stay in place as padding (no ladder entry, cost
+``0.0``), so every array is (rows x cells) and a trial's users keep their
+cell order.  A scheduler is a function of a block, :func:`mrs`, :func:`swf`
+or :func:`scc`, all with one signature, which :func:`schedule_block` and
+:func:`run_chunk` call; the cost, tangent and water-level formulas are
+:mod:`.complexity`'s.
 
 The kernels write the bits of the scalar loops they replaced, which
 ``tests/scalar_kernels.py`` keeps as the independent reference, by five
@@ -421,18 +422,19 @@ def schedule_block(kind, mf, cap, rates, c0, ilz, budget):
 
 
 def run_chunk(
-    blocks, rows, p_occ, pool_off, nc, thresholds, rates, c0, ilz, p0, noise,
+    blocks, p_occ, pool_off, nc, thresholds, rates, c0, ilz, p0, noise,
     terms, budget, kinds,
 ):
-    """``(n_active, sums)`` of a chunk of ``rows`` trials from its ``(a, b,
-    u)`` blocks of uniform rows ``a:b`` (occupancy and position uniforms of
-    each instantiated cell, then fading ones): each trial's active users and
+    """``(n_active, sums)`` of a chunk of trials from its blocks, arrays of
+    consecutive uniform rows (occupancy and position uniforms of each
+    instantiated cell, then fading ones): each trial's active users and
     ``sums[t, j] = (sum_rate, sum_complexity)`` of ``kinds[j]``.  The
     channel is computed a block at a time; each kind other than :func:`mrs`
     then runs once, on the chunk's rows over budget (:func:`_max_rate`)."""
     n_inst = p_occ.size
     parts = []
-    for a, _b, u in blocks:
+    a = 0
+    for u in blocks:
         occ, sinr = _channel(
             u[:, :n_inst], u[:, n_inst: 2 * n_inst], u[:, 2 * n_inst:],
             p_occ, pool_off, nc, p0, noise, terms,
@@ -446,10 +448,11 @@ def run_chunk(
         )
         count = np.count_nonzero(act, axis=1)
         parts.append((count, sum_rate, sum_comp, a + bound, *args))
+        a += u.shape[0]
     n_active, sum_rate, sum_comp, at, *args = map(np.concatenate, zip(*parts))
     # freed here, so that the kinds' peak adds to no block's arrays
     del parts, u, occ, sinr, act, mf, cap
-    sums = np.empty((rows, len(kinds), 2))
+    sums = np.empty((n_active.size, len(kinds), 2))
     sums[:, :, 0], sums[:, :, 1] = sum_rate[:, None], sum_comp[:, None]
     for j, kind in enumerate(kinds):
         if kind is not mrs and at.size:

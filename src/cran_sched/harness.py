@@ -18,7 +18,9 @@ uniform row generated from ``SeedSequence([seed, stream, chunk])``.  Chunks
 are therefore order-independent, identical for any worker count, and common
 across parameter sweeps that share a seed (occupancy thresholds move while
 the underlying uniforms stay put, which couples sweep points through common
-random numbers).
+random numbers).  The calibration and the evaluation are each one stream,
+whose chunks one function runs, mapped in this process or in a pool of
+forked workers.
 
 Budget comparisons always use the kernels' left-to-right per-trial totals,
 never a re-accumulated sum, so the outage decision is reproducible bit for
@@ -30,7 +32,7 @@ depend only on a user's position are computed once per cell set
 table, keyed by the cell set's small arrays and scalars and a digest of its
 pool's bytes, so a calibration, the evaluation after it and every point of
 a density sweep use one table, and forked workers inherit it.  The key
-holds no pool, and a campaign drops its cell set before its chunks run, so
+holds no pool, and a stream drops its cell set before its chunks run, so
 no copy of the pool outlives the table's build.
 """
 
@@ -259,46 +261,78 @@ def budget_from_samples(samples, epsilon: float) -> float:
 # chunked trial execution
 # ----------------------------------------------------------------------
 
-# worker payload, inherited by fork()ed pool processes
-_PAYLOAD: tuple | None = None
-
 # (key, table): the position-term table of the most recent cell set
 _TERMS: tuple | None = None
 
-
-def _chunk_specs(n_trials: int) -> list[tuple[int, int, int]]:
-    """(chunk index, first trial, number of trials) per chunk."""
-    specs = []
-    start = 0
-    idx = 0
-    while start < n_trials:
-        rows = min(CHUNK_TRIALS, n_trials - start)
-        specs.append((idx, start, rows))
-        start += rows
-        idx += 1
-    return specs
+# (seed, stream, n_trials, row_len, block_rows, kernel_args) of the stream
+# that runs, read by _chunk here and in fork()ed pool processes
+_STREAM: tuple | None = None
 
 
-def _payload(
-    cells: CellArrays,
-    table: McsTable,
-    model: ModelParams,
-    phy: PhyParams,
-    seed: int,
-    stream: int,
-    budget: float,
-    kinds,
+def _run_stream(
+    config: CampaignConfig, geometry: CellGeometry, stream: int,
+    n_trials: int, budget: float, kinds,
 ) -> tuple:
-    """``(seed, stream, row_len, block_rows, kernel_args)``;
-    ``kernel_args`` are the arguments of ``kernels.run_chunk`` after the
-    blocks and the row count, ending with the scheduler functions to run."""
-    kernel_args = (
-        cells.p_occ, cells.pool_off, cells.nc,
-        table.thresholds, table.rates, *model.kernel_constants(),
-        phy.p0, phy.noise_w, _position_terms(cells, phy), budget, kinds,
+    """``(n_active, out)`` of ``n_trials`` trials of ``stream`` in trial
+    order, ``out[t, j]`` being the ``(sum_rate, sum_complexity)`` of
+    ``kinds[j]``; identical for any worker count.  Each chunk's arrays are
+    copied into place as they come, so the stream's arrays are not held
+    twice."""
+    global _STREAM
+    cells = campaign_cells(config, geometry)
+    phy = config.phy
+    _STREAM = (
+        config.seed, stream, n_trials, cells.row_len,
+        max(1, BLOCK_ELEMENTS // (cells.n_inst * cells.nc)),
+        (
+            cells.p_occ, cells.pool_off, cells.nc, config.table.thresholds,
+            config.table.rates, *config.model.kernel_constants(), phy.p0,
+            phy.noise_w, _position_terms(cells, phy), budget, kinds,
+        ),
     )
-    block_rows = max(1, BLOCK_ELEMENTS // (cells.n_inst * cells.nc))
-    return seed, stream, cells.row_len, block_rows, kernel_args
+    # _STREAM holds what the kernels read; the pool goes with the cells
+    del cells
+    starts = range(0, n_trials, CHUNK_TRIALS)
+    n_active = np.empty(n_trials, dtype=np.int64)
+    out = np.empty((n_trials, len(kinds), 2))
+    try:
+        with contextlib.ExitStack() as stack:
+            if config.workers == 1:
+                chunks = map(_chunk, starts)
+            else:
+                # only a pool pays for importing the pool machinery
+                import multiprocessing
+                from concurrent.futures import ProcessPoolExecutor
+
+                chunks = stack.enter_context(ProcessPoolExecutor(
+                    max_workers=min(config.workers, len(starts)),
+                    mp_context=multiprocessing.get_context("fork"),
+                )).map(_chunk, starts)
+            for start, (na, o) in zip(starts, chunks):
+                stop = start + na.size
+                n_active[start:stop], out[start:stop] = na, o
+    finally:
+        _STREAM = None
+    return n_active, out
+
+
+def _chunk(start: int) -> tuple:
+    """``kernels.run_chunk`` of the running stream's chunk of trials from
+    ``start``.  Its uniform rows are drawn a block at a time from
+    ``SeedSequence([seed, stream, start // CHUNK_TRIALS])``: the doubles of
+    one ``rng.random((rows, row_len))``, in the same order."""
+    seed, stream, n_trials, row_len, block_rows, kernel_args = _STREAM
+    rng = np.random.default_rng(
+        np.random.SeedSequence([seed, stream, start // CHUNK_TRIALS])
+    )
+    rows = min(CHUNK_TRIALS, n_trials - start)
+    return kernels.run_chunk(
+        (
+            rng.random((min(block_rows, rows - a), row_len))
+            for a in range(0, rows, block_rows)
+        ),
+        *kernel_args,
+    )
 
 
 def _position_terms(cells: CellArrays, phy: PhyParams) -> np.ndarray:
@@ -331,64 +365,6 @@ def _position_terms(cells: CellArrays, phy: PhyParams) -> np.ndarray:
             ) from None
         _TERMS = key, terms
     return _TERMS[1]
-
-
-def _uniform_blocks(payload: tuple, chunk_idx: int, rows: int):
-    """``(a, b, u)`` per block: the chunk's uniform rows ``a:b``.  Drawn one
-    block at a time, they are the doubles of ``rng.random((rows,
-    row_len))``, in the same order."""
-    seed, stream, row_len, block_rows, _args = payload
-    rng = np.random.default_rng(
-        np.random.SeedSequence([seed, stream, chunk_idx])
-    )
-    for a in range(0, rows, block_rows):
-        b = min(a + block_rows, rows)
-        yield a, b, rng.random((b - a, row_len))
-
-
-def _compute_chunk(payload: tuple, chunk_idx: int, rows: int) -> tuple:
-    """``(n_active, out)`` for one chunk; ``out`` is (rows, kinds, 2)."""
-    return kernels.run_chunk(
-        _uniform_blocks(payload, chunk_idx, rows), rows, *payload[-1]
-    )
-
-
-def _chunk_task(task: tuple) -> tuple:
-    return _compute_chunk(_PAYLOAD, *task)
-
-
-def _run_chunks(payload: tuple, n_trials: int, workers: int) -> tuple:
-    """``(n_active, out)`` for one stream, in trial order; identical for any
-    worker count.  Each chunk's arrays are copied into place as they come,
-    so the stream's arrays are not held twice."""
-    specs = _chunk_specs(n_trials)
-    n_active = np.empty(n_trials, dtype=np.int64)
-    out = np.empty((n_trials, len(payload[-1][-1]), 2))
-
-    def place(parts):
-        for (_idx, start, rows), (na, o) in zip(specs, parts):
-            n_active[start: start + rows], out[start: start + rows] = na, o
-
-    if workers == 1:
-        place(_compute_chunk(payload, i, rows) for i, _start, rows in specs)
-    else:
-        # only a pool pays for importing the pool machinery
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        global _PAYLOAD
-        _PAYLOAD = payload
-        try:
-            ctx = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(specs)), mp_context=ctx
-            ) as pool:
-                place(pool.map(
-                    _chunk_task, [(idx, rows) for idx, _start, rows in specs]
-                ))
-        finally:
-            _PAYLOAD = None
-    return n_active, out
 
 
 def campaign_cells(
@@ -433,14 +409,9 @@ def calibrate_budget(
     k = _quantile_rank(trials, config.epsilon)
     if geometry is None:
         geometry = campaign_geometry(config)
-    cells = campaign_cells(config, geometry)
-    payload = _payload(
-        cells, config.table, config.model, config.phy,
-        config.seed, CALIBRATION_STREAM, budget=math.inf, kinds=[batch.mrs],
-    )
-    # the payload holds what the kernels read; the pool goes with the cells
-    del cells
-    cost = _run_chunks(payload, trials, config.workers)[1][:, 0, 1]
+    cost = _run_stream(
+        config, geometry, CALIBRATION_STREAM, trials, math.inf, [batch.mrs]
+    )[1][:, 0, 1]
     c_server = float(np.sort(cost)[trials - 1 - k])
     over = int(np.count_nonzero(cost > c_server))
     log.info(
@@ -474,13 +445,9 @@ def run_campaign(
 
     # each function runs once, however many schedulers share it
     kinds = list(dict.fromkeys(SCHEDULERS[n][0] for n in config.schedulers))
-    cells = campaign_cells(config, geometry)
-    payload = _payload(
-        cells, config.table, config.model, config.phy,
-        config.seed, EVAL_STREAM, float(c_server), kinds,
+    n_active, out = _run_stream(
+        config, geometry, EVAL_STREAM, config.n_trials, float(c_server), kinds
     )
-    del cells
-    n_active, out = _run_chunks(payload, config.n_trials, config.workers)
 
     series: dict[str, SchedulerSeries] = {}
     for name in config.schedulers:
@@ -535,6 +502,8 @@ def sweep_nc(
     the first campaign runs, at the first ``next()``.
     """
     values = [int(nc) for nc in nc_values]
+    if not values:
+        raise ValueError("nc_values must be non-empty")
     for nc in values:
         if not 1 <= nc <= config.layout.n_bs:
             raise ValueError(
@@ -570,22 +539,21 @@ def sweep_lambda(
     values = [float(v) for v in lambda_values]
     if not values:
         raise ValueError("lambda_values must be non-empty")
+    ref = values[0] if reference_lambda is None else float(reference_lambda)
+    # each density is checked here, by its PhyParams
+    ref_cfg, *cfgs = [
+        dataclasses.replace(
+            config, phy=dataclasses.replace(config.phy, lambda_density=lam)
+        )
+        for lam in [ref, *values]
+    ]
     if geometry is None:
         geometry = campaign_geometry(config)
     if config.c_server is not None:
         budget = config.c_server
     else:
-        ref = (
-            values[0] if reference_lambda is None else float(reference_lambda)
-        )
-        ref_cfg = dataclasses.replace(
-            config, phy=dataclasses.replace(config.phy, lambda_density=ref)
-        )
         budget = calibrate_budget(ref_cfg, geometry=geometry)
-    for lam in values:
-        cfg = dataclasses.replace(
-            config, phy=dataclasses.replace(config.phy, lambda_density=lam)
-        )
+    for lam, cfg in zip(values, cfgs):
         yield SweepPoint(lam, run_campaign(cfg, geometry, c_server=budget))
 
 

@@ -59,6 +59,8 @@ def build_table(rates, nu: float) -> McsTable:
     r = np.asarray(rates, dtype=np.float64)
     if r.ndim != 1 or len(r) == 0:
         raise ValueError("rates must be a non-empty 1-d sequence")
+    if not np.isfinite(r).all():
+        raise ValueError("rates must be finite")
     if np.any(r <= 0):
         raise ValueError("rates must be positive")
     if np.any(np.diff(r) <= 0):

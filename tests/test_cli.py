@@ -320,6 +320,17 @@ def test_main_rejects_missing_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_main_rejects_a_non_finite_rate(tmp_path, capsys):
+    # NaN passes both the positivity and the ordering checks of a ladder
+    ladder = tmp_path / "ladder.txt"
+    ladder.write_text("0.5\nnan\n1.0\n")
+    cfg = write_cfg(tmp_path, SMALL + f"mcs_file = {ladder}\n")
+    code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "rates must be finite" in err
+
+
 def test_main_rejects_missing_layout_file(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SMALL + "layout_file = /no/such/net.txt\n")
     code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])

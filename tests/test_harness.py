@@ -126,13 +126,10 @@ def test_calibrate_budget_deterministic():
 def all_exact_costs(cfg):
     """Every calibration trial's max-rate sum cost from the exact campaign
     kernel, ``kernels.run_chunk``, as the evaluation computes its costs."""
-    cells = harness.campaign_cells(cfg, harness.campaign_geometry(cfg))
-    payload = harness._payload(
-        cells, cfg.table, cfg.model, cfg.phy, cfg.seed,
-        harness.CALIBRATION_STREAM, math.inf, [batch.mrs],
+    _n_active, out = harness._run_stream(
+        cfg, harness.campaign_geometry(cfg), harness.CALIBRATION_STREAM,
+        cfg.calibration_trials or cfg.n_trials, math.inf, [batch.mrs],
     )
-    trials = cfg.calibration_trials or cfg.n_trials
-    _n_active, out = harness._run_chunks(payload, trials, 1)
     return out[:, 0, 1]
 
 
@@ -536,11 +533,32 @@ def test_sweep_nc_reselects_and_recalibrates(campaign):
 def test_sweep_nc_checks_every_value_before_the_first_campaign(monkeypatch):
     cfg = small_config()
     calls = []
-    monkeypatch.setattr(
-        harness, "run_campaign", lambda *args, **kw: calls.append(args)
-    )
+    for name in ("campaign_geometry", "run_campaign"):
+        monkeypatch.setattr(
+            harness, name, lambda *args, name=name, **kw: calls.append(name)
+        )
     with pytest.raises(ValueError, match="nc must be"):
         list(sweep_nc(cfg, [2, cfg.layout.n_bs + 1]))
+    # no value is an error too, before the geometry is built
+    with pytest.raises(ValueError, match="nc_values must be non-empty"):
+        list(sweep_nc(cfg, []))
+    assert calls == []
+
+
+def test_sweep_lambda_checks_every_density_before_the_first_campaign(
+    monkeypatch,
+):
+    calls = []
+    for name in ("calibrate_budget", "run_campaign"):
+        monkeypatch.setattr(
+            harness, name, lambda *args, name=name, **kw: calls.append(name)
+        )
+    cfg = small_config()
+    pinned = dataclasses.replace(cfg, epsilon=None, c_server=42.0)
+    for config in (cfg, pinned):
+        points = sweep_lambda(config, [1.0, math.nan])
+        with pytest.raises(ValueError, match="lambda_density must be > 0"):
+            next(points)
     assert calls == []
 
 
@@ -887,15 +905,25 @@ def test_manifest(tmp_path):
 # ---------------------------------------------------------------- internals
 
 
-def test_chunk_specs_partition_trials():
-    specs = harness._chunk_specs(10_000)
-    assert [s[0] for s in specs] == list(range(len(specs)))
-    assert specs[0][1] == 0
-    assert sum(s[2] for s in specs) == 10_000
-    for (_, start, rows), (_, nxt, _) in zip(specs, specs[1:]):
-        assert start + rows == nxt
-        assert rows == harness.CHUNK_TRIALS
-    assert specs[-1][2] <= harness.CHUNK_TRIALS
+def test_chunks_partition_trials(monkeypatch):
+    # each chunk's arrays land in its own trials, in chunk order
+    sizes = []
+
+    def numbered(blocks, *args):
+        sizes.append(sum(u.shape[0] for u in blocks))
+        n_active = np.full(sizes[-1], len(sizes) - 1)
+        return n_active, np.zeros((sizes[-1], len(args[-1]), 2))
+
+    monkeypatch.setattr(kernels, "run_chunk", numbered)
+    cfg = small_config()
+    n_active, out = harness._run_stream(
+        cfg, harness.campaign_geometry(cfg), harness.EVAL_STREAM, 10_000,
+        math.inf, [batch.mrs],
+    )
+    chunk = harness.CHUNK_TRIALS
+    assert sizes == [chunk, chunk, 10_000 - 2 * chunk]
+    np.testing.assert_array_equal(n_active, np.repeat([0, 1, 2], sizes))
+    assert out.shape == (10_000, 1, 2)
 
 
 def test_streams_are_distinct():

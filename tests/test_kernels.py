@@ -29,6 +29,7 @@ import os
 import re
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -95,12 +96,23 @@ def test_importing_the_package_does_not_try_numba(tmp_path):
 
 
 def kernel_args(cells, config, budget, kinds=ALL_KINDS):
-    """Arguments of ``batch.run_chunk`` after the uniforms, as the campaign
-    passes them."""
-    return harness._payload(
-        cells, config.table, config.model, config.phy, config.seed,
-        harness.EVAL_STREAM, budget, kinds,
-    )[-1]
+    """Arguments of ``batch.run_chunk`` after the blocks, as the campaign
+    passes them: those ``harness._run_stream`` passes on the cell set
+    ``cells``, caught in a one-trial stream."""
+    got = []
+
+    def caught(blocks, *args):
+        got.append(args)
+        return np.zeros(1, np.int64), np.zeros((1, len(kinds), 2))
+
+    with (
+        mock.patch.object(harness, "campaign_cells", lambda *_: cells),
+        mock.patch.object(kernels, "run_chunk", caught),
+    ):
+        harness._run_stream(
+            config, None, harness.EVAL_STREAM, 1, budget, kinds
+        )
+    return got[0]
 
 
 def scalar_args(cells, config, budget, kinds=ALL_KINDS):
@@ -149,10 +161,9 @@ def assert_outputs_equal(got, ref):
 
 
 def blocks(u, step):
-    """The ``(a, b, u[a:b])`` blocks of ``step`` rows of the chunk ``u``, as
-    ``harness._uniform_blocks`` yields them."""
-    for a in range(0, u.shape[0], step):
-        yield a, min(a + step, u.shape[0]), u[a: a + step]
+    """The blocks of ``step`` rows of the chunk ``u``, as ``harness._chunk``
+    draws them."""
+    return (u[a: a + step] for a in range(0, u.shape[0], step))
 
 
 def recording(kind, calls):
@@ -179,7 +190,7 @@ def assert_paths_equal(
     if calls is not None:
         kinds_run = [recording(k, calls) for k in kinds]
     got = batch.run_chunk(
-        blocks(u, step or block_rows(cells)), u.shape[0],
+        blocks(u, step or block_rows(cells)),
         *kernel_args(cells, config, budget, kinds_run),
     )
     assert_outputs_equal(
@@ -351,50 +362,49 @@ def test_batched_sinr_exactly_on_a_threshold():
         assert_paths_equal(u, cells, config, budget)
 
 
-def scalar_chunk(payload, chunk, rows, args):
-    """The scalar chunk loop, given its :func:`scalar_args`, on the chunk's
-    uniforms, drawn in one piece."""
-    seed, stream, row_len, _block_rows, _args = payload
-    return scalar_run(
-        uniforms(seed, stream, chunk, rows, row_len), args[0].size, args
-    )
+def scalar_chunk(config, cells, chunk, rows, budget):
+    """The scalar chunk loop on the evaluation stream's chunk ``chunk`` of
+    ``rows`` trials, its uniforms drawn in one piece."""
+    u = uniforms(config.seed, harness.EVAL_STREAM, chunk, rows, cells.row_len)
+    return scalar_run(u, cells.n_inst, scalar_args(cells, config, budget))
 
 
 def test_batched_one_row_and_one_past_a_block():
     config, cells = small_cells(background=True)
-    step = block_rows(cells)
-    payload = harness._payload(
-        cells, config.table, config.model, config.phy, config.seed,
-        harness.EVAL_STREAM, 3.0, ALL_KINDS,
-    )
-    for rows in (1, step + 1):
+    geometry = harness.campaign_geometry(config)
+    for rows in (1, block_rows(cells) + 1):
         assert_outputs_equal(
-            harness._compute_chunk(payload, 3, rows),
-            scalar_chunk(
-                payload, 3, rows, scalar_args(cells, config, 3.0)
+            harness._run_stream(
+                config, geometry, harness.EVAL_STREAM, rows, 3.0, ALL_KINDS
             ),
+            scalar_chunk(config, cells, 0, rows, 3.0),
         )
 
 
-def test_uniform_blocks_equal_the_one_shot_draw():
+def test_uniform_blocks_equal_the_one_shot_draw(monkeypatch):
     config, cells = small_cells(background=True)
-    payload = harness._payload(
-        cells, config.table, config.model, config.phy, 11,
-        harness.EVAL_STREAM, 3.0, ALL_KINDS,
-    )
     step = block_rows(cells)
-    assert payload[3] == step and step * cells.n_inst * cells.nc <= (
-        harness.BLOCK_ELEMENTS
-    )
+    assert step * cells.n_inst * cells.nc <= harness.BLOCK_ELEMENTS
+    drawn = []
+
+    def caught(blocks, *args):
+        drawn.append([u.copy() for u in blocks])
+        rows = sum(u.shape[0] for u in drawn[-1])
+        return np.zeros(rows, np.int64), np.zeros((rows, len(args[-1]), 2))
+
+    monkeypatch.setattr(kernels, "run_chunk", caught)
+    # the second chunk is of three blocks, the last one partial
     rows = 2 * step + 7
-    blocks = list(harness._uniform_blocks(payload, 5, rows))
-    assert [(a, b) for a, b, _u in blocks] == [
-        (0, step), (step, 2 * step), (2 * step, rows)
-    ]
-    one_shot = uniforms(11, harness.EVAL_STREAM, 5, rows, cells.row_len)
-    np.testing.assert_array_equal(
-        np.concatenate([u for _a, _b, u in blocks]), one_shot
+    harness._run_stream(
+        config, harness.campaign_geometry(config), harness.EVAL_STREAM,
+        harness.CHUNK_TRIALS + rows, 3.0, ALL_KINDS,
     )
+    assert [u.shape[0] for u in drawn[1]] == [step, step, 7]
+    for chunk, size in enumerate((harness.CHUNK_TRIALS, rows)):
+        np.testing.assert_array_equal(
+            np.concatenate(drawn[chunk]),
+            uniforms(7, harness.EVAL_STREAM, chunk, size, cells.row_len),
+        )
 
 
 def assert_bound_rows_only(calls, budget, n_bound):
@@ -421,7 +431,7 @@ def test_one_chunk_schedules_its_bound_rows_once(step):
     u[step: 2 * step, :n_inst] = 1.0    # a block of unoccupied trials
     _n, ref = scalar_run(u, n_inst, scalar_args(cells, config, budget))
     over = ref[:, 0, 1] > budget
-    per_block = [int(over[a:b].sum()) for a, b, _u in blocks(u, step)]
+    per_block = [int(over[a: a + step].sum()) for a in range(0, rows, step)]
     assert per_block[1] == 0 and min(per_block[:1] + per_block[2:]) > 0
 
     calls = []
@@ -451,9 +461,10 @@ def test_campaign_runs_each_scheduler_once_per_chunk(monkeypatch):
     chunks = []
     run_chunk = kernels.run_chunk
 
-    def counted(blocks, rows, *args):
-        chunks.append(rows)
-        return run_chunk(blocks, rows, *args)
+    def counted(blocks, *args):
+        n_active, sums = run_chunk(blocks, *args)
+        chunks.append(n_active.size)
+        return n_active, sums
 
     monkeypatch.setattr(kernels, "run_chunk", counted)
     calls = []
@@ -544,22 +555,19 @@ def test_pool_point_terms_are_computed_once_per_stream(monkeypatch):
     monkeypatch.setattr(batch, "position_terms", counted)
     monkeypatch.setattr(harness, "_TERMS", None)
     config, cells = small_cells(background=True)
-    payload = harness._payload(
-        cells, config.table, config.model, config.phy, config.seed,
-        harness.EVAL_STREAM, 3.0, ALL_KINDS,
-    )
     # three chunks, the last one partial, each of several blocks
     n_trials = 2 * harness.CHUNK_TRIALS + 100
-    n_active, out = harness._run_chunks(payload, n_trials, workers=1)
+    n_active, out = harness._run_stream(
+        config, harness.campaign_geometry(config), harness.EVAL_STREAM,
+        n_trials, 3.0, ALL_KINDS,
+    )
     assert len(built) == 1
     for chunk in (0, 2):
         a = chunk * harness.CHUNK_TRIALS
         rows = min(harness.CHUNK_TRIALS, n_trials - a)
         assert_outputs_equal(
             (n_active[a: a + rows], out[a: a + rows]),
-            scalar_chunk(
-                payload, chunk, rows, scalar_args(cells, config, 3.0)
-            ),
+            scalar_chunk(config, cells, chunk, rows, 3.0),
         )
 
 

@@ -48,6 +48,9 @@ def test_build_table_frozen_thresholds():
 def test_build_table_rejects_bad_ladders():
     with pytest.raises(ValueError, match="non-empty"):
         build_table([], nu=1.0)
+    for rate in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            build_table([0.5, rate, 1.0], nu=1.0)
     with pytest.raises(ValueError, match="positive"):
         build_table([0.0, 1.0], nu=1.0)
     with pytest.raises(ValueError, match="strictly increasing"):
