@@ -10,7 +10,8 @@ one row.  Inactive users stay in place as padding (no ladder entry, cost
 ``0.0``), so every array is (rows x cells) and a trial's users keep their
 cell order.  A scheduler is a function of a block, :func:`mrs`, :func:`swf`
 or :func:`scc`, all with one signature, which :func:`schedule_block` and
-:func:`run_chunk` call; the cost, tangent and water-level formulas are
+:func:`run_chunk` call; it leaves a row within budget at its max-rate
+allocation.  The cost, tangent and water-level formulas are
 :mod:`.complexity`'s.
 
 The kernels write the bits of the scalar loops they replaced, which
@@ -37,9 +38,9 @@ rules (the README's "Kernels" section gives the measurements):
   interference sum.
 
 The libm calls dominate the cost, so they are made only where their
-results are used.  Only the rows whose max-rate cost exceeds the budget run
-the greedy kernels, whose step-down loops over the rows still over budget
-and recomputes only the user that stepped.
+results are used.  A chunk runs the greedy kernels only on its rows whose
+max-rate cost exceeds the budget; their step-down loop runs over the rows
+still over budget and recomputes only the user that stepped.
 """
 
 from __future__ import annotations
@@ -351,9 +352,11 @@ def swf(mf, cap, init_c, lg, rates, c0, ilz, budget):
     is over budget, step down the user whose operating point demands the
     highest water level; then restore dropped users at their max feasible
     entry, highest initial level first, wherever the budget allows."""
+    rows = np.flatnonzero(_seq_sum(init_c) > budget)
+    if not rows.size:
+        return mf.copy(), init_c.copy()
     wl0 = _levels(mf, cap, init_c, lg, rates, c0, ilz)
     idx, comp, wl = mf.copy(), init_c.copy(), wl0.copy()
-    rows = np.flatnonzero(_seq_sum(comp) > budget)
     while rows.size:
         best = wl[rows].argmax(axis=1)
         has = wl[rows, best] > -np.inf
@@ -394,31 +397,26 @@ def scc(mf, cap, init_c, lg, rates, c0, ilz, budget):
 
 
 def _max_rate(mf, cap, rates, c0, ilz, budget):
-    """``(init_c, sum_rate, sum_comp, bound, args)``: the :func:`_costs` at
-    ``mf``, each row's max-rate totals, and the rows over budget, the only
-    ones a kind other than :func:`mrs` runs on, and their arguments."""
+    """``(sum_rate, sum_comp, bound, args)``: each row's max-rate totals,
+    the rows over budget, the only ones a kind other than :func:`mrs` runs
+    on in :func:`run_chunk`, and their scheduler arguments."""
     init_c, lg = _costs(mf, cap, rates, c0, ilz)
     sum_rate, sum_comp = _totals(mf, init_c, rates)
     bound = np.flatnonzero(sum_comp > budget)
     args = mf[bound], cap[bound], init_c[bound], lg[bound]
-    return init_c, sum_rate, sum_comp, bound, args
+    return sum_rate, sum_comp, bound, args
 
 
 def schedule_block(kind, mf, cap, rates, c0, ilz, budget):
     """Scheduler ``kind``'s ``(idx, comp)`` on a block and each row's
-    ``(sum_rate, sum_complexity)``.  A scheduler maps the users' ``(mf, cap,
-    init_c, lg)`` (:func:`_max_rate`) and ``rates, c0, ilz, budget`` to each
-    user's ladder entry (``-1``: not served) and cost."""
-    init_c, sum_rate, sum_comp, bound, args = _max_rate(
-        mf, cap, rates, c0, ilz, budget
-    )
-    if kind is mrs or not bound.size:
-        return mf, init_c, sum_rate, sum_comp
-    i, c = kind(*args, rates, c0, ilz, budget)
-    idx, comp = mf.copy(), init_c.copy()
-    idx[bound], comp[bound] = i, c
-    sum_rate[bound], sum_comp[bound] = _totals(i, c, rates)
-    return idx, comp, sum_rate, sum_comp
+    ``(sum_rate, sum_complexity)``.  A scheduler maps the users' max-feasible
+    entries ``mf``, capacities ``cap``, and the :func:`_costs` at ``mf``
+    (``init_c, lg``), with ``rates, c0, ilz, budget``, to each user's ladder
+    entry (``-1``: not served) and cost; a row within budget keeps ``(mf,
+    init_c)``."""
+    init_c, lg = _costs(mf, cap, rates, c0, ilz)
+    idx, comp = kind(mf, cap, init_c, lg, rates, c0, ilz, budget)
+    return idx, comp, *_totals(idx, comp, rates)
 
 
 def run_chunk(
@@ -443,7 +441,7 @@ def run_chunk(
         mf = np.where(act, max_feasible(thresholds, sinr), -1)
         cap = np.zeros(act.shape)
         cap[act] = _each(math.log2, 1.0 + sinr[act])
-        _c, sum_rate, sum_comp, bound, args = _max_rate(
+        sum_rate, sum_comp, bound, args = _max_rate(
             mf, cap, rates, c0, ilz, budget
         )
         count = np.count_nonzero(act, axis=1)

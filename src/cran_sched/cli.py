@@ -91,23 +91,17 @@ class RunConfig(CampaignKeys):
         # ModelParams and PhyParams check the ranges of their keys
         self.model, self.phy
         super().__post_init__()
-        _check(
-            self.n_centralized >= 1,
-            f"n_centralized must be >= 1, got {self.n_centralized}",
-        )
+        for key, low in ("n_centralized", 1), ("n_bs", 1), ("layout_seed", 0):
+            value = getattr(self, key)
+            _check(value >= low, f"{key} must be >= {low}, got {value}")
         _check(
             self.layout_kind in LAYOUT_KINDS,
             f"layout_kind must be one of {LAYOUT_KINDS}, "
             f"got {self.layout_kind!r}",
         )
-        _check(self.n_bs >= 1, f"n_bs must be >= 1, got {self.n_bs}")
         _check(
             0 < self.arena_km < math.inf,
             f"arena_km must be > 0 and finite, got {self.arena_km}",
-        )
-        _check(
-            self.layout_seed >= 0,
-            f"layout_seed must be >= 0, got {self.layout_seed}",
         )
         _check(bool(self.nc_values), "nc_values must list at least one value")
         for v in self.nc_values:
@@ -284,53 +278,34 @@ def build_campaign(rc: RunConfig) -> CampaignConfig:
     )
 
 
-def _manifest(rc: RunConfig, args, command: str, c_server=None) -> None:
-    harness.write_manifest(
-        os.path.join(args.out, "manifest.json"),
-        command=command,
-        config_mapping=rc.mapping(),
-        seed=rc.seed,
-        version=__version__,
-        c_server=c_server,
-    )
-
-
-def cmd_calibrate(rc: RunConfig, args) -> int:
+def cmd_calibrate(rc: RunConfig, out: str):
     config = build_campaign(rc)
     log.info("calibrating budget (%d trials)",
              config.calibration_trials or config.n_trials)
     c_server = harness.calibrate_budget(config)
     log.info("c_server = %r", c_server)
-    _manifest(rc, args, "calibrate", c_server=c_server)
-    if args.stdout:
-        print(repr(c_server))
-    return 0
+    return c_server, None
 
 
-def cmd_run(rc: RunConfig, args) -> int:
+def cmd_run(rc: RunConfig, out: str):
     config = build_campaign(rc)
     log.info("running campaign (%d trials)", config.n_trials)
     result = harness.run_campaign(config)
-    out = args.out
     harness.write_per_trial_csv(result, os.path.join(out, "per_trial.csv"))
     harness.write_cdf_csvs(result, out)
     harness.write_summary_csv(result, os.path.join(out, "summary.csv"))
-    _manifest(rc, args, "run", c_server=result.c_server)
     for name in result.schedulers:
         log.info(
             "%s: mean sum-rate %.6f, outage rate %.6f",
             name, result.mean_sum_rate(name), result.outage_rate(name),
         )
-    if args.stdout:
-        with open(os.path.join(out, "summary.csv"), "r") as fh:
-            sys.stdout.write(fh.read())
-    return 0
+    return result.c_server, os.path.join(out, "summary.csv")
 
 
-def _run_sweep(rc: RunConfig, args, command: str, points, value_name) -> int:
+def _run_sweep(out: str, command: str, points, value_name):
     """Write each point's files as its campaign finishes, then the sweep
     summary; ``points`` is an iterator, so no finished point is kept."""
-    sweep_path = os.path.join(args.out, f"{command.replace('-', '_')}.csv")
+    sweep_path = os.path.join(out, f"{command.replace('-', '_')}.csv")
 
     def write_point(pt):
         label = (
@@ -338,7 +313,7 @@ def _run_sweep(rc: RunConfig, args, command: str, points, value_name) -> int:
             if value_name == "nc"
             else f"lambda_{pt.value!r}"
         )
-        sub = os.path.join(args.out, label)
+        sub = os.path.join(out, label)
         os.makedirs(sub, exist_ok=True)
         harness.write_summary_csv(pt.result, os.path.join(sub, "summary.csv"))
         harness.write_cdf_csvs(pt.result, sub)
@@ -349,44 +324,38 @@ def _run_sweep(rc: RunConfig, args, command: str, points, value_name) -> int:
         return pt
 
     harness.write_sweep_csv(map(write_point, points), value_name, sweep_path)
-    _manifest(rc, args, command)
-    if args.stdout:
-        with open(sweep_path, "r") as fh:
-            sys.stdout.write(fh.read())
-    return 0
+    return None, sweep_path
 
 
-def cmd_sweep_nc(rc: RunConfig, args) -> int:
+def cmd_sweep_nc(rc: RunConfig, out: str):
     config = build_campaign(rc)
     log.info("sweeping scheduled-cell counts %s", list(rc.nc_values))
     points = harness.sweep_nc(config, rc.nc_values)
-    return _run_sweep(rc, args, "sweep-nc", points, "nc")
+    return _run_sweep(out, "sweep-nc", points, "nc")
 
 
-def cmd_sweep_lambda(rc: RunConfig, args) -> int:
+def cmd_sweep_lambda(rc: RunConfig, out: str):
     config = build_campaign(rc)
     log.info("sweeping user densities %s", list(rc.lambda_values))
     points = harness.sweep_lambda(
         config, rc.lambda_values, rc.reference_lambda
     )
-    return _run_sweep(rc, args, "sweep-lambda", points, "lambda")
+    return _run_sweep(out, "sweep-lambda", points, "lambda")
 
 
-def cmd_layout_gen(rc: RunConfig, args) -> int:
+def cmd_layout_gen(rc: RunConfig, out: str):
     layout = build_layout(rc)
-    path = os.path.join(args.out, "layout.txt")
+    path = os.path.join(out, "layout.txt")
     save_layout(layout, path)
     log.info(
         "wrote %d-BS layout (%d centralized) to %s",
         layout.n_bs, layout.n_centralized, path,
     )
-    _manifest(rc, args, "layout-gen")
-    if args.stdout:
-        with open(path, "r") as fh:
-            sys.stdout.write(fh.read())
-    return 0
+    return None, path
 
 
+# name -> command: ``cmd(rc, out)`` writes its data files under ``out`` and
+# returns ``(c_server or None, its primary file or None)``
 _COMMANDS = {
     "calibrate": cmd_calibrate,
     "run": cmd_run,
@@ -436,7 +405,22 @@ def main(argv=None) -> int:
             format="%(levelname)s %(name)s: %(message)s",
         )
         os.makedirs(args.out, exist_ok=True)
-        return _COMMANDS[args.command](rc, args)
+        c_server, primary = _COMMANDS[args.command](rc, args.out)
+        # written last, so a manifest marks a complete output directory
+        harness.write_manifest(
+            os.path.join(args.out, "manifest.json"),
+            command=args.command,
+            config_mapping=rc.mapping(),
+            seed=rc.seed,
+            version=__version__,
+            c_server=c_server,
+        )
+        if args.stdout and primary is None:
+            print(repr(c_server))
+        elif args.stdout:
+            with open(primary, "r") as fh:
+                sys.stdout.write(fh.read())
+        return 0
     except (ValueError, OSError, OverflowError) as exc:
         # ConfigError and LayoutError are ValueErrors; a value in range can
         # still overflow a float in the model (a pathloss_exponent of 200)

@@ -87,7 +87,8 @@ AREA_STREAM = 3
 # name -> (scheduler function of a block, scoring against C_server):
 # "outage" zeroes the rate where the cost exceeds the budget, "fits" asserts
 # the cost never does, None leaves the run unscored.  The function has the
-# signature batch.run_chunk and schedule_block call it with.
+# signature batch.run_chunk and schedule_block call it with, and returns a
+# row within budget at its max-rate allocation (mf, init_c).
 SCHEDULERS = {
     "mrs": (batch.mrs, "outage"),
     "swf": (batch.swf, "fits"),
@@ -501,17 +502,18 @@ def sweep_nc(
     layout's geometry and the master seed.  Every value is checked before
     the first campaign runs, at the first ``next()``.
     """
-    values = [int(nc) for nc in nc_values]
+    values = list(nc_values)
     if not values:
         raise ValueError("nc_values must be non-empty")
     for nc in values:
-        if not 1 <= nc <= config.layout.n_bs:
+        if not (1 <= nc <= config.layout.n_bs and float(nc).is_integer()):
             raise ValueError(
-                f"nc must be in [1, {config.layout.n_bs}], got {nc}"
+                f"nc must be an integer in [1, {config.layout.n_bs}], "
+                f"got {nc}"
             )
     if geometry is None:
         geometry = campaign_geometry(config)
-    for nc in values:
+    for nc in map(int, values):
         layout = config.layout.with_centralized(
             most_central_ids(config.layout, nc)
         )

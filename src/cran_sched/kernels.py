@@ -20,7 +20,7 @@ from .batch import run_chunk  # noqa: F401
 
 BACKEND = "numpy"
 
-# read by the campaign benchmark's run report; leaves with ROADMAP item 4
+# read by the campaign benchmark's run report; leaves with ROADMAP item 3
 NUMBA_ENABLED = False
 
 

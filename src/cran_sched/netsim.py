@@ -260,17 +260,12 @@ def generate_layout(
         ncols = math.ceil(n_bs / nrows)
         dx = arena.width / ncols
         dy = arena.height / nrows
-        mid = nrows // 2
+        # BS k sits in row r, column c, row-major
+        r, c = np.divmod(np.arange(n_bs), ncols)
+        shift = np.where((r - nrows // 2) % 2, 0.25 * dx, 0.0)
         pos = np.empty((n_bs, 2))
-        k = 0
-        for r in range(nrows):
-            shift = 0.25 * dx if (r - mid) % 2 else 0.0
-            for c in range(ncols):
-                if k == n_bs:
-                    break
-                pos[k, 0] = arena.xmin + (c + 0.5) * dx + shift
-                pos[k, 1] = arena.ymin + (r + 0.5) * dy
-                k += 1
+        pos[:, 0] = arena.xmin + (c + 0.5) * dx + shift
+        pos[:, 1] = arena.ymin + (r + 0.5) * dy
     else:
         raise LayoutError(
             f"unknown layout kind {kind!r} "

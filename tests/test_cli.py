@@ -550,13 +550,43 @@ def test_sweeps_write_and_drop_each_point_before_the_next(
     assert seen == [([True] * k, dirs[:k]) for k in range(len(dirs))]
 
 
+RUN_FILES = [
+    "per_trial.csv", "summary.csv",
+    *(f"cdf_{s}_{m}.csv" for s in ("mrs", "swf", "scc", "unconstrained")
+      for m in ("sum_rate", "sum_complexity")),
+]
+
+
+def point_files(label):
+    return [
+        os.path.join(label, name) for name in RUN_FILES
+        if name != "per_trial.csv"
+    ]
+
+
 @pytest.mark.parametrize(
-    "command, extra",
-    [("run", ""), ("sweep-lambda", "lambda_values = 0.5,1.0\n")],
-    ids=["run", "sweep-lambda"],
+    "command, extra, data",
+    [
+        ("run", "", RUN_FILES),
+        (
+            "sweep-lambda", "lambda_values = 0.5,1.0\n",
+            [*point_files("lambda_0.5"), *point_files("lambda_1.0"),
+             "sweep_lambda.csv"],
+        ),
+        (
+            "sweep-nc", "nc_values = 1,2\n",
+            [*point_files("nc_01"), *point_files("nc_02"), "sweep_nc.csv"],
+        ),
+        ("calibrate", "", []),
+        ("layout-gen", "", ["layout.txt"]),
+    ],
+    ids=["run", "sweep-lambda", "sweep-nc", "calibrate", "layout-gen"],
 )
-def test_manifest_is_the_last_file_written(command, extra, tmp_path, monkeypatch):
-    # a manifest marks a complete output directory
+def test_manifest_is_the_last_file_written(
+    command, extra, data, tmp_path, monkeypatch
+):
+    # a manifest marks a complete output directory; each command writes its
+    # data files, calibrate none, and then the one manifest
     cfg = write_cfg(tmp_path, SMALL + extra)
     out = tmp_path / "out"
     opened, replaced = [], []
@@ -575,7 +605,7 @@ def test_manifest_is_the_last_file_written(command, extra, tmp_path, monkeypatch
     monkeypatch.setattr(os, "replace", recording_replace)
     assert main([command, "--config", cfg, "--out", str(out)]) == 0
     monkeypatch.undo()
-    assert len(replaced) > 2
+    assert sorted(replaced[:-1]) == sorted(data)
     assert opened == [name + ".tmp" for name in replaced]
     assert replaced[-1] == "manifest.json"
     assert replaced.count("manifest.json") == 1

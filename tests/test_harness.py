@@ -530,6 +530,27 @@ def test_sweep_nc_reselects_and_recalibrates(campaign):
         list(sweep_nc(cfg, [cfg.layout.n_bs + 1]))
 
 
+@pytest.mark.parametrize(
+    "value, shown",
+    [(2.7, "2.7"), (0.5, "0.5"), (math.inf, "inf"), (-math.inf, "-inf"),
+     (math.nan, "nan"), (3.0 + 1e-12, repr(3.0 + 1e-12))],
+)
+def test_sweep_nc_rejects_a_count_that_is_not_an_integer(
+    value, shown, monkeypatch
+):
+    # a fractional count is not truncated to a cell set, and the message
+    # names the value as given, before the geometry is built
+    cfg = small_config()
+    calls = []
+    monkeypatch.setattr(
+        harness, "campaign_geometry", lambda *args: calls.append(args)
+    )
+    with pytest.raises(ValueError, match="nc must be") as err:
+        list(sweep_nc(cfg, [2, value]))
+    assert str(err.value).endswith(f"got {shown}")
+    assert calls == []
+
+
 def test_sweep_nc_checks_every_value_before_the_first_campaign(monkeypatch):
     cfg = small_config()
     calls = []

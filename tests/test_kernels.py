@@ -589,6 +589,46 @@ def test_rows_within_budget_keep_the_max_rate_allocation():
     assert (out[:, 1:, 1] == 0.0).all() and (out[:, 0, 1] > 0.0).all()
 
 
+@pytest.mark.parametrize("name", list(harness.SCHEDULERS))
+def test_schedulers_keep_rows_within_budget_at_max_rate(name):
+    # every scheduler returns a row within budget at (mf, init_c), so
+    # schedule_block runs it on a whole block; a block of rows within and
+    # over budget equals the scalar kernels row by row
+    kind = harness.SCHEDULERS[name][0]
+    table = default_table(ModelParams())
+    rates, (c0, ilz) = table.rates, ModelParams().kernel_constants()
+    rng = np.random.default_rng(25)
+    sinr = 10.0 ** rng.uniform(-1.0, 3.0, (300, 6))
+    act = rng.random(sinr.shape) < 0.7
+    mf = np.where(act, batch.max_feasible(table.thresholds, sinr), -1)
+    cap = np.zeros(sinr.shape)
+    cap[act] = [math.log2(1.0 + g) for g in sinr[act]]
+    init_c, lg = batch._costs(mf, cap, rates, c0, ilz)
+    _r, sum_comp = batch._totals(mf, init_c, rates)
+    budget = float(np.median(sum_comp))
+    within = sum_comp <= budget
+    assert 100 < np.count_nonzero(within) < 200
+
+    idx, comp = kind(mf, cap, init_c, lg, rates, c0, ilz, budget)
+    np.testing.assert_array_equal(idx[within], mf[within])
+    assert_bits_equal(comp[within], init_c[within], name)
+
+    idx, comp, sum_rate, sum_comp = batch.schedule_block(
+        kind, mf, cap, rates, c0, ilz, budget
+    )
+    for t in range(sinr.shape[0]):
+        n = np.count_nonzero(act[t])
+        want_idx, want_comp = np.full(n, -7, np.int64), np.full(n, 7.0)
+        sums = scalar_kernels.schedule(
+            SCALAR_IDS[kind], sinr[t, act[t]], cap[t, act[t]],
+            table.thresholds, rates, c0, ilz, budget, want_idx, want_comp,
+        )
+        assert (sum_rate[t], sum_comp[t]) == sums, t
+        np.testing.assert_array_equal(idx[t, act[t]], want_idx, str(t))
+        assert_bits_equal(comp[t, act[t]], want_comp, f"row {t}")
+        assert (idx[t, ~act[t]] == -1).all() and (comp[t, ~act[t]] == 0.0).all()
+
+
 def test_batched_source_keeps_to_the_bit_identity_rules():
     # NumPy's sums are pairwise and its log/exp/power loops may differ from
     # libm in the last bit: the batched path sums left to right, and only

@@ -194,6 +194,39 @@ def test_generate_hex_layout_centers_odd_grid():
     assert lay.bs_positions[6, 0] == pytest.approx(0.75)
 
 
+def loop_hex_positions(n_bs, arena):
+    """The hex grid's positions, one BS at a time in row-major order."""
+    nrows = max(1, round(math.sqrt(n_bs)))
+    ncols = math.ceil(n_bs / nrows)
+    dx = arena.width / ncols
+    dy = arena.height / nrows
+    mid = nrows // 2
+    pos = np.empty((n_bs, 2))
+    k = 0
+    for r in range(nrows):
+        shift = 0.25 * dx if (r - mid) % 2 else 0.0
+        for c in range(ncols):
+            if k == n_bs:
+                break
+            pos[k, 0] = arena.xmin + (c + 0.5) * dx + shift
+            pos[k, 1] = arena.ymin + (r + 0.5) * dy
+            k += 1
+    return pos
+
+
+@pytest.mark.parametrize(
+    "arena",
+    [Arena(0.0, 0.0, 30.0, 30.0), Arena(-1.0, 2.0, 5.0, 3.0),
+     Arena(0.3, -7.1, 1e4, 2.9)],
+    ids=["square", "offset", "wide"],
+)
+def test_hex_layout_equals_the_loop_over_rows(arena):
+    for n_bs in [*range(1, 300), 1000, 4097]:
+        got = generate_layout("hex-grid", n_bs, arena, 1, seed=0)
+        want = loop_hex_positions(n_bs, arena)
+        assert got.bs_positions.tobytes() == want.tobytes(), n_bs
+
+
 def test_generate_layout_errors():
     arena = Arena(0.0, 0.0, 1.0, 1.0)
     with pytest.raises(LayoutError, match="n_bs"):
