@@ -140,8 +140,10 @@ class CampaignKeys:
                 key, n_cal = "calibration_trials", self.calibration_trials
             if n_cal < 1000:
                 raise ValueError(f"{key} must be >= 1000, got {n_cal}")
-        if self.c_server is not None and not self.c_server >= 0.0:
-            raise ValueError(f"c_server must be >= 0, got {self.c_server}")
+        if self.c_server is not None and not 0.0 <= self.c_server < math.inf:
+            raise ValueError(
+                f"c_server must be >= 0 and finite, got {self.c_server}"
+            )
         for key, low in ("seed", 0), ("area_samples", 10_000), ("workers", 1):
             value = getattr(self, key)
             if value < low:
@@ -227,13 +229,15 @@ def _cdf_counts(samples) -> tuple[np.ndarray, np.ndarray]:
     return values, at_most
 
 
-def _quantile_rank(n: int, epsilon: float) -> int:
-    """Rank ``k`` of the budget among ``n`` calibration samples, counted
-    down from the largest (``k = 0`` is the maximum): ``floor(eps * n)``,
-    with a ``1e-9`` slack for ``eps * n`` a rounding error below an integer.
-    ``epsilon = 0`` gives the sample maximum, which cannot guarantee zero
-    exceedance on new data; a warning says so."""
-    if n == 0:
+def _budget(samples, epsilon: float) -> tuple[float, int]:
+    """:func:`budget_from_samples` and the budget's rank ``k`` among the
+    ``n`` samples, counted down from the largest (``k = 0`` is the
+    maximum): ``floor(eps * n)``, with a ``1e-9`` slack for ``eps * n`` a
+    rounding error below an integer.  ``epsilon = 0`` gives the sample
+    maximum, which cannot guarantee zero exceedance on new data; a warning
+    says so."""
+    xs = np.sort(np.asarray(samples, dtype=np.float64), axis=None)
+    if xs.size == 0:
         raise ValueError("need at least one calibration sample")
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"epsilon must be in [0,1), got {epsilon}")
@@ -243,7 +247,8 @@ def _quantile_rank(n: int, epsilon: float) -> int:
             "not guarantee zero exceedance out of sample",
             stacklevel=3,
         )
-    return min(int(epsilon * n + 1e-9), n - 1)
+    k = min(int(epsilon * xs.size + 1e-9), xs.size - 1)
+    return float(xs[xs.size - 1 - k]), k
 
 
 def budget_from_samples(samples, epsilon: float) -> float:
@@ -251,11 +256,9 @@ def budget_from_samples(samples, epsilon: float) -> float:
 
     Sorting ascending and counting, this is the (1-eps)-quantile taken
     inclusively at index ``n - 1 - k`` with ``k = floor(eps * n)`` (see
-    :func:`_quantile_rank`, which warns at ``epsilon = 0``).
+    :func:`_budget`, which warns at ``epsilon = 0``).
     """
-    xs = np.sort(np.asarray(samples, dtype=np.float64).ravel())
-    k = _quantile_rank(xs.size, epsilon)
-    return float(xs[xs.size - 1 - k])
+    return _budget(samples, epsilon)[0]
 
 
 # ----------------------------------------------------------------------
@@ -407,13 +410,12 @@ def calibrate_budget(
             "(got an explicit c_server instead)"
         )
     trials = config.calibration_trials or config.n_trials
-    k = _quantile_rank(trials, config.epsilon)
     if geometry is None:
         geometry = campaign_geometry(config)
     cost = _run_stream(
         config, geometry, CALIBRATION_STREAM, trials, math.inf, [batch.mrs]
     )[1][:, 0, 1]
-    c_server = float(np.sort(cost)[trials - 1 - k])
+    c_server, k = _budget(cost, config.epsilon)
     over = int(np.count_nonzero(cost > c_server))
     log.info(
         "calibration: n = %d, k = %d, c_server = %r, in-sample outage %d "
@@ -441,8 +443,8 @@ def run_campaign(
         c_server = config.c_server
     if c_server is None:
         c_server = calibrate_budget(config, geometry=geometry)
-    elif not c_server >= 0.0:
-        raise ValueError(f"c_server must be >= 0, got {c_server}")
+    elif not 0.0 <= c_server < math.inf:
+        raise ValueError(f"c_server must be >= 0 and finite, got {c_server}")
 
     # each function runs once, however many schedulers share it
     kinds = list(dict.fromkeys(SCHEDULERS[n][0] for n in config.schedulers))
@@ -737,6 +739,5 @@ def write_manifest(
     }
     if c_server is not None:
         doc["c_server"] = c_server
-    _atomic_write(
-        [path], [json.dumps(doc, indent=2, sort_keys=True) + "\n"]
-    )
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    _atomic_write([path], [text + "\n"])

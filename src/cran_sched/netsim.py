@@ -222,6 +222,15 @@ def _central_ids(positions: np.ndarray, arena: Arena, n: int) -> tuple:
     return tuple(sorted(int(i) for i in order[:n]))
 
 
+def _uniform_points(seed, n: int, arena: Arena) -> np.ndarray:
+    """``n`` points uniform over the arena: uniforms drawn from ``seed``,
+    scaled and shifted in place, which rounds as ``xmin + u * width``."""
+    xy = np.random.default_rng(seed).random((n, 2))
+    xy *= (arena.width, arena.height)
+    xy += (arena.xmin, arena.ymin)
+    return xy
+
+
 def most_central_ids(layout: NetworkLayout, n: int) -> tuple[int, ...]:
     """The ``n`` BS ids nearest the arena center (ties to the lower id)."""
     if not 1 <= n <= layout.n_bs:
@@ -250,11 +259,7 @@ def generate_layout(
             f"n_centralized must be in [1, n_bs={n_bs}], got {n_centralized}"
         )
     if kind == "uniform-random":
-        rng = np.random.default_rng(seed)
-        u = rng.random((n_bs, 2))
-        pos = np.empty((n_bs, 2))
-        pos[:, 0] = arena.xmin + u[:, 0] * arena.width
-        pos[:, 1] = arena.ymin + u[:, 1] * arena.height
+        pos = _uniform_points(seed, n_bs, arena)
     elif kind == "hex-grid":
         nrows = max(1, round(math.sqrt(n_bs)))
         ncols = math.ceil(n_bs / nrows)
@@ -443,11 +448,7 @@ def estimate_cell_areas(
     """
     if n_samples < 10_000:
         raise ValueError(f"n_samples must be >= 10000, got {n_samples}")
-    rng = np.random.default_rng(seed)
-    u = rng.random((n_samples, 2))
-    pts = np.empty_like(u)
-    pts[:, 0] = layout.arena.xmin + u[:, 0] * layout.arena.width
-    pts[:, 1] = layout.arena.ymin + u[:, 1] * layout.arena.height
+    pts = _uniform_points(seed, n_samples, layout.arena)
     owner = _nearest_bs(pts, layout.bs_positions)
     counts = np.bincount(owner, minlength=layout.n_bs)
     areas = layout.arena.area * counts / float(n_samples)

@@ -338,6 +338,27 @@ def test_main_rejects_missing_layout_file(tmp_path, capsys):
     assert "layout file not found" in capsys.readouterr().err
 
 
+def test_main_rejects_missing_mcs_file(tmp_path, capsys):
+    ladder = tmp_path / "ladder.txt"
+    cfg = write_cfg(tmp_path, SMALL + f"mcs_file = {ladder}\n")
+    code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: mcs file not found: {ladder}\n"
+
+
+def test_main_rejects_an_infinite_budget(tmp_path, capsys):
+    # it would run, and its manifest would hold "c_server": Infinity, which
+    # strict JSON parsers reject; nothing is written
+    cfg = write_cfg(tmp_path, SMALL + "c_server = inf\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "c_server must be >= 0 and finite, got inf" in err
+    assert not out.exists()
+
+
 def test_main_reports_a_dead_worker(tmp_path, capsys, monkeypatch):
     # a worker process that dies mid-chunk ends the run with an error line,
     # not a traceback
@@ -376,6 +397,21 @@ def test_layout_gen_writes_loadable_layout(tmp_path, capsys):
     assert doc["command"] == "layout-gen"
     assert doc["seed"] == 7
     assert capsys.readouterr().out == ""  # quiet without --stdout
+
+
+def test_run_from_a_generated_layout_file_is_the_same_run(tmp_path):
+    # layout.txt holds each position as its repr, so a run that loads it
+    # is the run of the layout it was generated from, byte for byte
+    cfg = write_cfg(tmp_path, SMALL)
+    lay, made, loaded = (tmp_path / d for d in ("lay", "made", "loaded"))
+    assert main(["layout-gen", "--config", cfg, "--out", str(lay)]) == 0
+    assert main(["run", "--config", cfg, "--out", str(made)]) == 0
+    body = SMALL + f"layout_file = {lay / 'layout.txt'}\n"
+    cfg = write_cfg(tmp_path, body, name="from_file.cfg")
+    assert main(["run", "--config", cfg, "--out", str(loaded)]) == 0
+    assert (loaded / "per_trial.csv").read_bytes() == (
+        made / "per_trial.csv"
+    ).read_bytes()
 
 
 def test_calibrate_prints_budget_only_with_stdout_flag(tmp_path, capsys):

@@ -171,8 +171,11 @@ def test_calibrate_budget_equals_the_all_exact_budget(workload, seed):
         for workers in (1, 2):
             cfg = dataclasses.replace(base, epsilon=eps, workers=workers)
             if eps == 0.0:
-                with pytest.warns(UserWarning, match="out of sample"):
+                with pytest.warns(UserWarning) as record:
                     got = calibrate_budget(cfg, geometry)
+                # once per call, and attributed to the caller
+                [w] = [w for w in record if "out of sample" in str(w.message)]
+                assert w.filename == __file__
             else:
                 got = calibrate_budget(cfg, geometry)
             assert got == expected, (eps, workers)
@@ -297,6 +300,9 @@ def test_campaign_config_validation():
         small_config(epsilon=1.0)
     with pytest.raises(ValueError, match="c_server"):
         small_config(epsilon=None, c_server=-1.0)
+    # an infinite budget would reach the manifest as a non-JSON Infinity
+    with pytest.raises(ValueError, match="c_server must be >= 0 and finite"):
+        small_config(epsilon=None, c_server=math.inf)
     with pytest.raises(ValueError, match="seed"):
         small_config(seed=-1)
     with pytest.raises(ValueError, match="calibration_trials"):
@@ -614,6 +620,9 @@ def test_sweep_lambda_explicit_budget_skips_calibration(campaign, monkeypatch):
     small = dataclasses.replace(cfg, n_trials=1000)
     assert run_campaign(fixed).c_server == 42.0
     assert run_campaign(small, c_server=50.0).c_server == 50.0
+    for budget in -1.0, math.inf, math.nan:
+        with pytest.raises(ValueError, match=f"c_server .*, got {budget}"):
+            run_campaign(small, c_server=budget)
 
 
 @pytest.mark.parametrize(
@@ -921,6 +930,12 @@ def test_manifest(tmp_path):
     assert doc["seed"] == 7
     assert doc["version"] == "0.1.0"
     assert doc["c_server"] == 12.5
+    # strict JSON: a non-finite budget is refused before anything is written
+    path = tmp_path / "strict.json"
+    for budget in math.inf, math.nan:
+        with pytest.raises(ValueError, match="JSON compliant"):
+            write_manifest(path, "run", {}, 7, "0.1.0", c_server=budget)
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------- internals

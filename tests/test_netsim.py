@@ -123,6 +123,11 @@ def test_load_layout_errors(tmp_path):
         ("gap.txt", "centralized: 0\n0,1.0,1.0\n2,2.0,2.0\n", "missing \\[1\\]"),
         ("cols.txt", "centralized: 0\n0,1.0\n", "id,x_km,y_km"),
         ("text.txt", "centralized: 0\n0,one,1.0\n", "could not convert"),
+        (
+            "arena3.txt",
+            "arena: 0,0,5\ncentralized: 0\n0,1.0,1.0\n",
+            "arena3.txt:1: expected 4 comma-separated values",
+        ),
     ]
     for name, body, pattern in cases:
         f = tmp_path / name
@@ -225,6 +230,27 @@ def test_hex_layout_equals_the_loop_over_rows(arena):
         got = generate_layout("hex-grid", n_bs, arena, 1, seed=0)
         want = loop_hex_positions(n_bs, arena)
         assert got.bs_positions.tobytes() == want.tobytes(), n_bs
+
+
+@pytest.mark.parametrize(
+    "arena",
+    [Arena(0.0, 0.0, 30.0, 30.0), Arena(-1.0, 2.0, 5.0, 3.0),
+     Arena(0.3, -7.1, 1e4, 2.9)],
+    ids=["square", "offset", "wide"],
+)
+def test_uniform_points_equal_the_column_formula(arena):
+    # scaled and shifted in place, u * width + xmin rounds as the formula
+    # that layouts and area samples were first drawn with
+    for n, seed in (1, 0), (129, 1), (100_000, 7):
+        u = np.random.default_rng(seed).random((n, 2))
+        want = np.empty((n, 2))
+        want[:, 0] = arena.xmin + u[:, 0] * arena.width
+        want[:, 1] = arena.ymin + u[:, 1] * arena.height
+        got = netsim._uniform_points(seed, n, arena)
+        assert got.tobytes() == want.tobytes(), n
+        if n <= 129:
+            lay = generate_layout("uniform-random", n, arena, 1, seed=seed)
+            assert lay.bs_positions.tobytes() == want.tobytes(), n
 
 
 def test_generate_layout_errors():
