@@ -38,9 +38,10 @@ rules (the README's "Kernels" section gives the measurements):
   interference sum.
 
 The libm calls dominate the cost, so they are made only where their
-results are used.  A chunk runs the greedy kernels only on its rows whose
-max-rate cost exceeds the budget; their step-down loop runs over the rows
-still over budget and recomputes only the user that stepped.
+results are used, except for the fading gains of a block's unoccupied
+pairs (:func:`fading_gains`).  A chunk runs the greedy kernels only on its
+rows whose max-rate cost exceeds the budget; their step-down loop runs over
+the rows still over budget and recomputes only the user that stepped.
 """
 
 from __future__ import annotations
@@ -73,6 +74,10 @@ _LIBM_MIN = 64
 
 # one add.accumulate call beats the loop over columns below this many rows
 _ACCUMULATE_ROWS = 32
+
+# swf's initial water levels are computed this many rows at a time, so that
+# their temporaries do not scale with a chunk's over-budget rows
+LEVEL_ROWS = 1024
 
 
 def _each(fn, x, *args):
@@ -239,14 +244,19 @@ def fading_gains(u_fade, pair):
     where the boolean array ``pair`` is true, ``0.0`` elsewhere, in
     ``pair``'s shape.  A uniform of exactly ``0.0`` would give a zero gain;
     the gains are floored at 1e-300, strictly positive as the fading model
-    promises."""
-    fading = np.zeros(pair.shape)
-    u = u_fade.reshape(pair.shape)[pair]
-    f = _each(math.log1p, np.negative(u, out=u))
-    np.negative(f, out=f)
-    f[~(f > 0.0)] = 1e-300
-    fading[pair] = f
-    return fading
+    promises, before the other pairs are set to ``0.0``.
+
+    Every pair's gain is computed, in one pass over two arrays of
+    ``pair``'s shape, which the allocator reuses from block to block.  The
+    masked pairs' ``log1p`` calls cost 15-22% more kernel time at
+    ``lambda_density = 0.1`` (31% of the pairs occupied) and nothing
+    measurable at 0.5 (91%)."""
+    gains = np.negative(u_fade).reshape(pair.shape)
+    flat = gains.reshape(-1)
+    np.negative(_each(math.log1p, flat), out=flat)
+    gains[~(gains > 0.0)] = 1e-300
+    gains[~pair] = 0.0
+    return gains
 
 
 def sinr_from_terms(at, fading, p0, noise):
@@ -287,10 +297,12 @@ def sinr_from_distances(occ, d_serv, cross, fading, nc, p0, noise, apl, s):
 def _channel(u_occ, u_pos, u_fade, p_occ, pool_off, nc, p0, noise, terms):
     """Occupancy (rows x n_inst) and SINR (rows x nc) of a block of trials
     from the :func:`position_terms` table ``terms``.  The SINR of an
-    unoccupied cell is left unspecified."""
+    unoccupied cell is left unspecified.  The gains are computed before
+    the terms are read, so that the table rows are not held beside the
+    gains' ``log1p`` output."""
     occ = u_occ < p_occ
-    at = terms.take(pool_index(u_pos, pool_off), axis=0)
     fading = fading_gains(u_fade, occ[:, :, None] & occ[:, None, :nc])
+    at = terms.take(pool_index(u_pos, pool_off), axis=0)
     return occ, sinr_from_terms(at, fading, p0, noise)
 
 
@@ -355,7 +367,10 @@ def swf(mf, cap, init_c, lg, rates, c0, ilz, budget):
     rows = np.flatnonzero(_seq_sum(init_c) > budget)
     if not rows.size:
         return mf.copy(), init_c.copy()
-    wl0 = _levels(mf, cap, init_c, lg, rates, c0, ilz)
+    wl0 = np.empty(mf.shape)
+    for a in range(0, mf.shape[0], LEVEL_ROWS):
+        b = slice(a, a + LEVEL_ROWS)
+        wl0[b] = _levels(mf[b], cap[b], init_c[b], lg[b], rates, c0, ilz)
     idx, comp, wl = mf.copy(), init_c.copy(), wl0.copy()
     while rows.size:
         best = wl[rows].argmax(axis=1)
@@ -368,9 +383,12 @@ def swf(mf, cap, init_c, lg, rates, c0, ilz, budget):
         rows = rows[_seq_sum(comp[rows]) > budget]
 
     # re-add pass: dropped users by descending initial level, first user
-    # first among equals
+    # first among equals; the sort key is -wl0, +inf off the candidates,
+    # written over wl0
     cand = (idx < 0) & (mf >= 0)
-    order = np.argsort(-np.where(cand, wl0, -np.inf), axis=1, kind="stable")
+    np.negative(wl0, out=wl0)
+    wl0[~cand] = np.inf
+    order = np.argsort(wl0, axis=1, kind="stable")
     n_cand = np.count_nonzero(cand, axis=1)
     for p in range(n_cand.max(initial=0)):
         rows = np.flatnonzero(n_cand > p)
@@ -454,6 +472,8 @@ def run_chunk(
     sums[:, :, 0], sums[:, :, 1] = sum_rate[:, None], sum_comp[:, None]
     for j, kind in enumerate(kinds):
         if kind is not mrs and at.size:
-            i, c = kind(*args, rates, c0, ilz, budget)
-            sums[at, j, 0], sums[at, j, 1] = _totals(i, c, rates)
+            # no name holds one kind's (idx, comp) while the next one runs
+            sums[at, j, 0], sums[at, j, 1] = _totals(
+                *kind(*args, rates, c0, ilz, budget), rates
+            )
     return n_active, sums

@@ -29,6 +29,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -237,14 +238,14 @@ def test_batched_chunks_equal_scalar_on_benchmark_workloads(workload, rows):
             assert_paths_equal(u, cells, config, stream_budget, kinds)
 
 
-def small_cells(n_centralized=3, background=False):
+def small_cells(n_centralized=3, background=False, phy=PhyParams()):
     params = ModelParams()
     config = CampaignConfig(
         layout=generate_layout(
             "uniform-random", 12, Arena(0.0, 0.0, 8.0, 8.0), n_centralized,
             seed=7,
         ),
-        table=default_table(params), model=params, phy=PhyParams(),
+        table=default_table(params), model=params, phy=phy,
         n_trials=1000, epsilon=0.1, seed=7, area_samples=10_000,
         background_interference=background,
     )
@@ -341,6 +342,92 @@ def test_batched_sinr_equals_scalar_with_floored_gains():
         np.testing.assert_array_equal(sinr[t], ref_sinr)
     # the floor keeps a zero-uniform gain positive, and so the SINR
     assert 0.0 < sinr[1, 0] < 1e-290 and (sinr[0] > 0.0).all()
+
+
+def scalar_gains(cells, u):
+    """The occupancy (rows x n_inst) and the fading gains (rows x n_inst x
+    nc) of the uniform rows ``u`` by the scalar oracle, which gives every
+    pair its floored gain."""
+    n_inst, nc = cells.n_inst, cells.nc
+    occ = np.empty((u.shape[0], n_inst), np.bool_)
+    fading = np.empty((u.shape[0], n_inst, nc))
+    for t, row in enumerate(u):
+        _pos, d_serv, cross_d, _f, _s = trial_buffers(n_inst, nc)
+        scalar_kernels.draw_arrays(
+            row[:n_inst], row[n_inst: 2 * n_inst], row[2 * n_inst:],
+            cells.p_occ, cells.pool_xy, cells.pool_off, cells.bs_xy,
+            harness.MIN_DISTANCE_KM, nc, occ[t], _pos, d_serv, cross_d,
+            fading[t],
+        )
+    return occ, fading
+
+
+@pytest.mark.parametrize("rows", [1, 20])
+def test_unoccupied_pairs_get_zero_gains_after_the_floor(rows):
+    # the gains are floored, then masked: an unoccupied pair's gain is +0.0
+    # even where its uniform would be floored to 1e-300, and a block with no
+    # occupied cell has no nonzero gain.  One row (36 pairs) takes
+    # batch._map, 20 rows batch._libm
+    config, cells = small_cells(background=True)
+    n_inst, nc = cells.n_inst, cells.nc
+    u = uniforms(7, 1, 9, rows, cells.row_len)
+    u_occ, u_fade = u[:, :n_inst], u[:, 2 * n_inst:]
+    u_occ[:, ::2] = 1.0                 # every other cell unoccupied ...
+    u_occ[:, 1::2] = 0.0                # ... the others occupied
+    u_fade[:, ::5] = 0.0                # zero uniforms on both kinds of pair
+    occ, want = scalar_gains(cells, u)
+    pair = occ[:, :, None] & occ[:, None, :nc]
+    assert pair.any() and (~pair).any()
+    zero = u_fade.reshape(pair.shape) == 0.0
+    assert (zero & pair).any() and (zero & ~pair).any()
+    assert (want[zero] == 1e-300).all()
+    got = batch.fading_gains(u_fade, pair)
+    assert_bits_equal(got, np.where(pair, want, 0.0), "gains")
+    assert (bits(got[~pair]) == 0).all() and (got[zero & pair] == 1e-300).all()
+
+    u_occ[:] = 1.0                      # no occupied cell at all
+    occ, _want = scalar_gains(cells, u)
+    assert not occ.any()
+    pair = occ[:, :, None] & occ[:, None, :nc]
+    got = batch.fading_gains(u_fade, pair)
+    assert got.shape == pair.shape
+    assert_bits_equal(got, np.zeros(pair.shape), "no occupied cell")
+
+
+def test_fading_gains_hold_two_arrays_of_the_block_shape():
+    # one log1p pass over every pair: the negated uniforms, overwritten by
+    # the gains, and libm's output, plus boolean masks; the zero-filled
+    # array, gathered uniforms and scattered gains of the occupied pairs
+    # are gone
+    config, cells = small_cells(background=True)
+    n_inst, nc = cells.n_inst, cells.nc
+    u_fade = uniforms(7, 1, 11, 2000, cells.row_len)[:, 2 * n_inst:]
+    pair = np.ones((2000, n_inst, nc), np.bool_)
+    batch.fading_gains(u_fade, pair)     # the probe runs outside the trace
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        gains = batch.fading_gains(u_fade, pair)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert gains.shape == pair.shape and gains.flags.c_contiguous
+    assert peak <= 2 * gains.nbytes + 2 * pair.size + 2**14, peak
+
+
+def test_batched_equals_scalar_at_low_occupancy():
+    # at 0.05 users per km^2 about a quarter of the cells are occupied, so
+    # most of the gains computed on every pair are masked away
+    config, cells = small_cells(
+        background=True, phy=PhyParams(lambda_density=0.05)
+    )
+    assert (cells.p_occ < 0.35).all()
+    u = uniforms(7, 1, 10, 600, cells.row_len)
+    occ, _fading = scalar_gains(cells, u)
+    pair = occ[:, :, None] & occ[:, None, : cells.nc]
+    assert pair.mean() < 0.1
+    for budget in (0.0, 1.0, math.inf):
+        assert_paths_equal(u, cells, config, budget, step=block_rows(cells))
 
 
 def test_batched_sinr_exactly_on_a_threshold():
@@ -589,44 +676,63 @@ def test_rows_within_budget_keep_the_max_rate_allocation():
     assert (out[:, 1:, 1] == 0.0).all() and (out[:, 0, 1] > 0.0).all()
 
 
-@pytest.mark.parametrize("name", list(harness.SCHEDULERS))
-def test_schedulers_keep_rows_within_budget_at_max_rate(name):
-    # every scheduler returns a row within budget at (mf, init_c), so
-    # schedule_block runs it on a whole block; a block of rows within and
-    # over budget equals the scalar kernels row by row
-    kind = harness.SCHEDULERS[name][0]
-    table = default_table(ModelParams())
-    rates, (c0, ilz) = table.rates, ModelParams().kernel_constants()
-    rng = np.random.default_rng(25)
-    sinr = 10.0 ** rng.uniform(-1.0, 3.0, (300, 6))
-    act = rng.random(sinr.shape) < 0.7
-    mf = np.where(act, batch.max_feasible(table.thresholds, sinr), -1)
+TABLE = default_table(ModelParams())
+RATES = TABLE.rates
+KERNEL_CONSTANTS = ModelParams().kernel_constants()
+
+
+def random_users(seed, rows, share):
+    """``(sinr, act, mf, cap)`` of ``rows`` trials of 6 users, each active
+    with probability ``share``: SINRs, activity, max-feasible entries
+    (``-1`` where inactive) and capacities (``0.0`` where inactive)."""
+    rng = np.random.default_rng(seed)
+    sinr = 10.0 ** rng.uniform(-1.0, 3.0, (rows, 6))
+    act = rng.random(sinr.shape) < share
+    mf = np.where(act, batch.max_feasible(TABLE.thresholds, sinr), -1)
     cap = np.zeros(sinr.shape)
     cap[act] = [math.log2(1.0 + g) for g in sinr[act]]
-    init_c, lg = batch._costs(mf, cap, rates, c0, ilz)
-    _r, sum_comp = batch._totals(mf, init_c, rates)
-    budget = float(np.median(sum_comp))
-    within = sum_comp <= budget
-    assert 100 < np.count_nonzero(within) < 200
+    return sinr, act, mf, cap
 
-    idx, comp = kind(mf, cap, init_c, lg, rates, c0, ilz, budget)
-    np.testing.assert_array_equal(idx[within], mf[within])
-    assert_bits_equal(comp[within], init_c[within], name)
 
+def assert_block_equals_scalar(kind, sinr, act, cap, budget):
+    """``batch.schedule_block`` of ``kind`` on the block equals the scalar
+    scheduler row by row, on each row's active users; inactive users stay
+    unserved at cost ``0.0``."""
+    mf = np.where(act, batch.max_feasible(TABLE.thresholds, sinr), -1)
     idx, comp, sum_rate, sum_comp = batch.schedule_block(
-        kind, mf, cap, rates, c0, ilz, budget
+        kind, mf, cap, RATES, *KERNEL_CONSTANTS, budget
     )
     for t in range(sinr.shape[0]):
         n = np.count_nonzero(act[t])
         want_idx, want_comp = np.full(n, -7, np.int64), np.full(n, 7.0)
         sums = scalar_kernels.schedule(
             SCALAR_IDS[kind], sinr[t, act[t]], cap[t, act[t]],
-            table.thresholds, rates, c0, ilz, budget, want_idx, want_comp,
+            TABLE.thresholds, RATES, *KERNEL_CONSTANTS, budget,
+            want_idx, want_comp,
         )
         assert (sum_rate[t], sum_comp[t]) == sums, t
         np.testing.assert_array_equal(idx[t, act[t]], want_idx, str(t))
         assert_bits_equal(comp[t, act[t]], want_comp, f"row {t}")
         assert (idx[t, ~act[t]] == -1).all() and (comp[t, ~act[t]] == 0.0).all()
+
+
+@pytest.mark.parametrize("name", list(harness.SCHEDULERS))
+def test_schedulers_keep_rows_within_budget_at_max_rate(name):
+    # every scheduler returns a row within budget at (mf, init_c), so
+    # schedule_block runs it on a whole block; a block of rows within and
+    # over budget equals the scalar kernels row by row
+    kind = harness.SCHEDULERS[name][0]
+    sinr, act, mf, cap = random_users(25, 300, 0.7)
+    init_c, lg = batch._costs(mf, cap, RATES, *KERNEL_CONSTANTS)
+    _r, sum_comp = batch._totals(mf, init_c, RATES)
+    budget = float(np.median(sum_comp))
+    within = sum_comp <= budget
+    assert 100 < np.count_nonzero(within) < 200
+
+    idx, comp = kind(mf, cap, init_c, lg, RATES, *KERNEL_CONSTANTS, budget)
+    np.testing.assert_array_equal(idx[within], mf[within])
+    assert_bits_equal(comp[within], init_c[within], name)
+    assert_block_equals_scalar(kind, sinr, act, cap, budget)
 
 
 def test_batched_source_keeps_to_the_bit_identity_rules():
@@ -646,6 +752,23 @@ def test_batched_source_keeps_to_the_bit_identity_rules():
     for banned in ("np.log1p", "np.power", "np.log2"):
         assert banned in helper, banned
         assert banned not in rest, banned
+
+
+@pytest.mark.parametrize(
+    "rows", [batch.LEVEL_ROWS - 1, batch.LEVEL_ROWS, batch.LEVEL_ROWS + 1]
+)
+def test_swf_levels_built_in_row_slices_equal_the_scalar_oracle(rows):
+    # swf builds its initial water levels LEVEL_ROWS rows at a time; on a
+    # block of that many rows, one fewer and one more, all over budget,
+    # every row equals the scalar swf
+    sinr, act, mf, cap = random_users(rows, 3 * rows, 0.8)
+    budget = 12.0
+    init_c, _lg = batch._costs(mf, cap, RATES, *KERNEL_CONSTANTS)
+    over = np.flatnonzero(batch._seq_sum(init_c) > budget)[:rows]
+    assert over.size == rows
+    assert_block_equals_scalar(
+        batch.swf, sinr[over], act[over], cap[over], budget
+    )
 
 
 @pytest.mark.parametrize("rows", [1, 5, batch._ACCUMULATE_ROWS, 200])
