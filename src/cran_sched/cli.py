@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import logging
 import math
 import os
@@ -52,7 +53,7 @@ class RunConfig(CampaignKeys):
     """A validated config: one field per config key, whose default is the
     key's default (``None``: unset).  The campaign keys are those of
     :class:`~cran_sched.harness.CampaignKeys`.  Setting ``c_server`` clears
-    ``epsilon``; ``model`` and ``phy`` are derived from the fields."""
+    ``epsilon``; ``model`` and ``phy`` are built once, from the fields."""
 
     lambda_density: float = 1.0         # active users per km^2
     pathloss_exponent: float = 3.7
@@ -63,7 +64,7 @@ class RunConfig(CampaignKeys):
     zeta: float = 6.0
     nu_db: float = 0.2                  # threshold back-off, dB
     eps_channel: float = 0.1
-    l_max: int = 8
+    l_max: int = 8                      # iteration cap, read by nothing
     n_centralized: int = 10
     layout_file: str | None = None
     layout_kind: str = "uniform-random"
@@ -79,7 +80,7 @@ class RunConfig(CampaignKeys):
     def __post_init__(self) -> None:
         if self.c_server is not None:
             object.__setattr__(self, "epsilon", None)
-        # nu = 10**(nu_db/10) is positive for any nu_db, so ModelParams cannot
+        # nu = 10**(nu_db/10) is positive for any nu_db, so build_table cannot
         # catch a non-positive margin; past ~3082.5 dB it overflows a float
         _check(
             0.0 < self.nu_db < math.inf,
@@ -88,10 +89,17 @@ class RunConfig(CampaignKeys):
         _check(
             self.nu_db <= 3000.0, f"nu_db must be <= 3000, got {self.nu_db}"
         )
+        # PhyParams checks p0_w too, but names it p0
+        _check(
+            0.0 < self.p0_w < math.inf,
+            f"p0_w must be > 0 and finite, got {self.p0_w}",
+        )
         # ModelParams and PhyParams check the ranges of their keys
         self.model, self.phy
         super().__post_init__()
-        for key, low in ("n_centralized", 1), ("n_bs", 1), ("layout_seed", 0):
+        for key, low in (
+            ("n_centralized", 1), ("n_bs", 1), ("layout_seed", 0), ("l_max", 1)
+        ):
             value = getattr(self, key)
             _check(value >= low, f"{key} must be >= {low}, got {value}")
         _check(
@@ -122,17 +130,13 @@ class RunConfig(CampaignKeys):
             f"log_level must be one of {_LOG_LEVELS}, got {self.log_level!r}",
         )
 
-    @property
+    @functools.cached_property
     def model(self) -> ModelParams:
         return ModelParams(
-            k_prime=self.k_prime,
-            zeta=self.zeta,
-            nu=db_to_linear(self.nu_db),
-            eps_channel=self.eps_channel,
-            l_max=self.l_max,
+            k_prime=self.k_prime, zeta=self.zeta, eps_channel=self.eps_channel
         )
 
-    @property
+    @functools.cached_property
     def phy(self) -> PhyParams:
         return PhyParams(
             pathloss_exponent=self.pathloss_exponent,
@@ -260,11 +264,12 @@ def build_layout(rc: RunConfig) -> NetworkLayout:
 
 def build_mcs_table(rc: RunConfig) -> McsTable:
     """The config's rate ladder with the configured SNR margin."""
-    if rc.mcs_file is not None:
-        if not os.path.exists(rc.mcs_file):
-            raise ConfigError(f"mcs file not found: {rc.mcs_file}")
-        return build_table(load_rates(rc.mcs_file), rc.model.nu)
-    return default_table(rc.model)
+    nu = db_to_linear(rc.nu_db)
+    if rc.mcs_file is None:
+        return default_table(nu)
+    if not os.path.exists(rc.mcs_file):
+        raise ConfigError(f"mcs file not found: {rc.mcs_file}")
+    return build_table(load_rates(rc.mcs_file), nu)
 
 
 def build_campaign(rc: RunConfig) -> CampaignConfig:

@@ -71,13 +71,11 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Decoder and link-adaptation constants shared across the package."""
+    """Turbo-decoder constants of the decoding cost C(g, r)."""
 
     k_prime: float = 0.2        # iteration-count fit constant (> 0)
     zeta: float = 6.0           # convergence-speed fit constant (> 2)
-    nu: float = 10.0 ** 0.02    # SNR margin of the MCS thresholds, linear (0.2 dB)
     eps_channel: float = 0.1    # target codeword error rate in (0, 1)
-    l_max: int = 8              # decoder iteration budget, diagnostics only
 
     def __post_init__(self) -> None:
         if not 0 < self.k_prime < math.inf:
@@ -86,14 +84,10 @@ class ModelParams:
             )
         if not 2 < self.zeta < math.inf:
             raise ValueError(f"zeta must be > 2 and finite, got {self.zeta}")
-        if not 0 < self.nu < math.inf:
-            raise ValueError(f"nu must be > 0 and finite, got {self.nu}")
         if not 0 < self.eps_channel < 1:
             raise ValueError(
                 f"eps_channel must be in (0, 1), got {self.eps_channel}"
             )
-        if self.l_max < 1:
-            raise ValueError(f"l_max must be >= 1, got {self.l_max}")
 
     @property
     def k_eps(self) -> float:
@@ -141,13 +135,14 @@ def gap(sinr: float, rate: float) -> float:
 
 def _guarded_capacity(sinr: float, rate: float) -> float:
     """Capacity ``log2(1 + sinr)``, checked to lie GAP_GUARD above ``rate``."""
-    g = gap(sinr, rate)
-    if g < GAP_GUARD:
+    # the capacity bit for bit, since x - 0.0 == x
+    cap = gap(sinr, 0.0)
+    if cap - rate < GAP_GUARD:
         raise DomainError(
-            f"capacity gap {g:.3e} below guard {GAP_GUARD:.0e} "
+            f"capacity gap {cap - rate:.3e} below guard {GAP_GUARD:.0e} "
             f"(sinr={sinr}, rate={rate})"
         )
-    return math.log2(1.0 + sinr)
+    return cap
 
 
 def decode_complexity(params: ModelParams, sinr: float, rate: float) -> float:
@@ -168,8 +163,9 @@ def decode_complexity(params: ModelParams, sinr: float, rate: float) -> float:
 def iteration_count(params: ModelParams, sinr: float, rate: float) -> float:
     """Unclamped per-bit iteration count, for diagnostics.
 
-    Returns the raw (possibly negative) cost divided by the rate; values above
-    ``params.l_max`` flag operating points the fitted decoder cannot reach.
+    Returns the raw (possibly negative) cost divided by the rate; values
+    above the decoder's iteration cap (a config's ``l_max``, 8 by default)
+    flag operating points the fitted decoder cannot reach.
     """
     if rate <= 0:
         raise DomainError(f"rate must be > 0, got {rate}")

@@ -168,37 +168,34 @@ class SchedulerSeries:
     sum_complexity: np.ndarray  # cost as computed (never zeroed)
     outage: np.ndarray          # bool flags
 
-    @property
-    def mean_sum_rate(self) -> float:
-        return float(np.mean(self.sum_rate))
-
-    @property
-    def outage_rate(self) -> float:
-        return float(np.mean(self.outage))
-
 
 @dataclass(frozen=True)
 class CampaignResult:
-    """Aggregated campaign outcome; deterministic given config and seed."""
+    """Aggregated campaign outcome; deterministic given config and seed.
+    ``series`` holds one entry per scheduler, in the config's order."""
 
-    schedulers: tuple[str, ...]
-    n_trials: int
-    seed: int
-    epsilon: float | None
     c_server: float
-    n_active: np.ndarray
+    n_active: np.ndarray                # per trial
     series: dict[str, SchedulerSeries]
 
+    @property
+    def schedulers(self) -> tuple[str, ...]:
+        return tuple(self.series)
+
+    @property
+    def n_trials(self) -> int:
+        return self.n_active.size
+
     def mean_sum_rate(self, scheduler: str) -> float:
-        return self.series[scheduler].mean_sum_rate
+        return float(np.mean(self.series[scheduler].sum_rate))
 
     def outage_rate(self, scheduler: str) -> float:
-        return self.series[scheduler].outage_rate
+        return float(np.mean(self.series[scheduler].outage))
 
     def relative_loss(self, scheduler: str) -> float:
         """Mean sum-rate sacrificed relative to the unconstrained run."""
-        ref = self.series["unconstrained"].mean_sum_rate
-        return (ref - self.series[scheduler].mean_sum_rate) / ref
+        ref = self.mean_sum_rate("unconstrained")
+        return (ref - self.mean_sum_rate(scheduler)) / ref
 
 
 def empirical_cdf(samples) -> np.ndarray:
@@ -472,13 +469,7 @@ def run_campaign(
         )
 
     return CampaignResult(
-        schedulers=config.schedulers,
-        n_trials=config.n_trials,
-        seed=config.seed,
-        epsilon=config.epsilon,
-        c_server=float(c_server),
-        n_active=n_active,
-        series=series,
+        c_server=float(c_server), n_active=n_active, series=series
     )
 
 

@@ -8,12 +8,12 @@ SINR ``g`` may transmit at any entry with ``thr_i <= g``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .batch import max_feasible
-from .complexity import ModelParams
 
 # LTE/NR AMC efficiency ladder at MCS-table granularity (bpcu), with the two
 # modulation-switch near-duplicates and the 5.3320 step dropped: 27 strictly
@@ -65,15 +65,15 @@ def build_table(rates, nu: float) -> McsTable:
         raise ValueError("rates must be positive")
     if np.any(np.diff(r) <= 0):
         raise ValueError("rates must be strictly increasing")
-    if not nu > 0:
-        raise ValueError(f"nu must be > 0, got {nu}")
+    if not 0 < nu < math.inf:
+        raise ValueError(f"nu must be > 0 and finite, got {nu}")
     thresholds = nu * (np.exp2(r) - 1.0)
     return McsTable(rates=r, thresholds=thresholds, nu=float(nu))
 
 
-def default_table(params: ModelParams) -> McsTable:
-    """The 27-level default ladder with the margin taken from ``params.nu``."""
-    return build_table(DEFAULT_RATES, params.nu)
+def default_table(nu: float = 10.0 ** 0.02) -> McsTable:
+    """The 27-level default ladder with margin ``nu`` (default 0.2 dB)."""
+    return build_table(DEFAULT_RATES, nu)
 
 
 def max_feasible_index(table: McsTable, sinr: float) -> int | None:

@@ -113,28 +113,28 @@ def required_water_level(
 
 
 def continuous_waterfill(
-    users: list[UserChannel],
     coeffs: list[LinearizationCoeffs],
     budget: float,
     rate_caps: list[float] | np.ndarray,
 ) -> ContinuousSolution:
-    """Exact relaxed allocation: spend ``budget`` across users so marginal
-    quadratic costs equalize at a common water level.
+    """Exact relaxed allocation: spend ``budget`` across users, one per
+    entry of ``coeffs`` and ``rate_caps``, so marginal quadratic costs
+    equalize at a common water level.
 
     Each user's rate is ``min(cap, (level - beta) / (2 * alpha))`` clamped at
     zero; the level is found by bisection (the spent budget is non-decreasing
     in the level).  When even the caps fit the budget the caps are returned
     with the smallest level that reaches them.
     """
-    if len(coeffs) != len(users) or len(rate_caps) != len(users):
+    n = len(coeffs)
+    if len(rate_caps) != n:
         raise ValueError(
-            f"users ({len(users)}), coeffs ({len(coeffs)}) and rate_caps "
-            f"({len(rate_caps)}) must have equal lengths"
+            f"coeffs ({n}) and rate_caps ({len(rate_caps)}) must have equal "
+            "lengths"
         )
     if not budget >= 0.0:
         raise ValueError(f"budget must be >= 0, got {budget}")
 
-    n = len(users)
     if n == 0:
         return ContinuousSolution(
             rates=np.zeros(0), water_level=None, eta=None, sum_complexity=0.0

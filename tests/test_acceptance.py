@@ -69,7 +69,7 @@ def reference_config(**overrides) -> CampaignConfig:
         layout=generate_layout(
             "uniform-random", 129, Arena(0.0, 0.0, 30.0, 30.0), 10, seed=1
         ),
-        table=default_table(PARAMS),
+        table=default_table(),
         model=PARAMS,
         phy=PhyParams(),
         n_trials=N_TRIALS,
@@ -264,7 +264,6 @@ def test_criterion_07_continuous_solutions_satisfy_kkt():
     for _ in range(1000):
         n = int(rng.integers(2, 21))
         sinr = rng.uniform(0.5, 100.0, size=n)
-        users = [UserChannel(k, float(g)) for k, g in enumerate(sinr)]
         caps = np.log2(1.0 + sinr) - 0.01
         r0 = caps * rng.uniform(0.3, 1.0, size=n)
         coeffs = [
@@ -274,7 +273,7 @@ def test_criterion_07_continuous_solutions_satisfy_kkt():
         beta = np.array([c.quad_beta for c in coeffs])
         cap_spend = float(np.sum(alpha * caps**2 + beta * caps))
         budget = float(rng.uniform(0.05, 0.95)) * max(cap_spend, 1e-9)
-        sol = continuous_waterfill(users, coeffs, budget, caps)
+        sol = continuous_waterfill(coeffs, budget, caps)
 
         # primal feasibility / slackness
         assert np.all(sol.rates >= -1e-9)
@@ -372,7 +371,7 @@ def _implementation_values():
     c31 = decode_complexity(PARAMS, 3.0, 1.0)
     c0, ilz = PARAMS.kernel_constants()
     raw15 = 1.0 * ilz * (c0 - 2.0 * math.log2(gap(15.0, 1.0)))
-    sol = continuous_waterfill([UserChannel(0, 3.0)], [co1], c31, [2.0])
+    sol = continuous_waterfill([co1], c31, [2.0])
 
     nu = db_to_linear(0.2)
     t2 = build_table([0.5, 1.0], nu=nu)

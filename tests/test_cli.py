@@ -56,7 +56,9 @@ def test_empty_config_gives_documented_defaults(tmp_path):
     rc = parse_config(write_cfg(tmp_path, "# all defaults\n"))
     assert rc.model == ModelParams()
     assert rc.phy == PhyParams()
-    assert rc.model.nu == pytest.approx(10.0 ** 0.02, rel=1e-12)
+    # each is built once per config, when the config is validated
+    assert rc.model is rc.model and rc.phy is rc.phy
+    assert build_mcs_table(rc).nu == pytest.approx(10.0 ** 0.02, rel=1e-12)
     assert rc.epsilon == 0.1 and rc.c_server is None
     assert rc.n_trials == 100_000
     assert rc.calibration_trials is None
@@ -140,6 +142,7 @@ def test_config_constraint_errors(tmp_path):
         ("s = -0.1\n", "s must be in [0,1]"),
         ("nu_db = 0.0\n", "nu_db must be > 0"),
         ("zeta = 2.0\n", "zeta must be > 2"),
+        ("l_max = 0\n", "l_max must be >= 1, got 0"),
         ("epsilon = 1.0\n", "epsilon must be in [0,1)"),
         ("n_trials = 0\n", "n_trials must be >= 1"),
         ("n_trials = ten\n", "n_trials must be an integer"),
@@ -162,7 +165,7 @@ def test_config_constraint_errors(tmp_path):
         ("nu_db = inf\n", "nu_db must be > 0 and finite, got inf"),
         # 10**(4000/10) overflows a float
         ("nu_db = 4000\n", "nu_db must be <= 3000, got 4000.0"),
-        ("p0_w = inf\n", "p0 must be > 0 and finite, got inf"),
+        ("p0_w = inf\n", "p0_w must be > 0 and finite, got inf"),
         ("noise_w = inf\n", "noise_w must be > 0 and finite, got inf"),
         (
             "pathloss_exponent = inf\n",
@@ -370,6 +373,26 @@ def test_main_reports_a_dead_worker(tmp_path, capsys, monkeypatch):
     )
     assert code == 2
     assert capsys.readouterr().err.startswith("error: a worker process died")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_main_re_raises_an_unexpected_error(
+    tmp_path, capsys, monkeypatch, workers
+):
+    # an error that is not a bad input keeps its traceback, also when a
+    # worker raised it, and no manifest marks the directory complete
+    def fail(*args):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr(kernels, "run_chunk", fail)
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="unexpected"):
+        main(
+            ["run", "--config", write_cfg(tmp_path, SMALL), "--out",
+             str(out), "--workers", workers]
+        )
+    assert not (out / "manifest.json").exists()
+    assert "a worker process died" not in capsys.readouterr().err
 
 
 def test_the_process_pool_is_imported_only_with_workers():

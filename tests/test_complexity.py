@@ -168,14 +168,10 @@ def test_model_params_validation():
         ModelParams(k_prime=0.0)
     with pytest.raises(ValueError, match="zeta"):
         ModelParams(zeta=2.0)
-    with pytest.raises(ValueError, match="nu"):
-        ModelParams(nu=0.0)
     with pytest.raises(ValueError, match="eps_channel"):
         ModelParams(eps_channel=0.0)
     with pytest.raises(ValueError, match="eps_channel"):
         ModelParams(eps_channel=1.0)
-    with pytest.raises(ValueError, match="l_max"):
-        ModelParams(l_max=0)
 
 
 def test_kernel_constants_consistent_with_cost():

@@ -51,7 +51,7 @@ def small_config(**overrides) -> CampaignConfig:
         layout=generate_layout(
             "uniform-random", 12, Arena(0.0, 0.0, 8.0, 8.0), 3, seed=7
         ),
-        table=default_table(params),
+        table=default_table(),
         model=params,
         phy=PhyParams(),
         n_trials=6000,       # spans two trial chunks
@@ -354,7 +354,6 @@ def test_outage_rate_tracks_target(campaign):
     cfg, res = campaign
     # out-of-sample check at desk scale; the acceptance suite pins 3 sigma
     assert res.outage_rate("mrs") == pytest.approx(cfg.epsilon, abs=0.04)
-    assert res.epsilon == cfg.epsilon
 
 
 def test_budget_above_every_sample_means_zero_outage(campaign):
@@ -381,14 +380,17 @@ def test_n_active_bounds_and_idle_trials(campaign):
 
 def test_result_accessors(campaign):
     cfg, res = campaign
+    assert res.schedulers == cfg.schedulers
+    assert res.n_trials == cfg.n_trials
     unc = res.series["unconstrained"]
     swf = res.series["swf"]
     assert res.mean_sum_rate("swf") == pytest.approx(
         float(swf.sum_rate.mean()), rel=1e-12
     )
     loss = res.relative_loss("swf")
+    ref = float(unc.sum_rate.mean())
     assert loss == pytest.approx(
-        (unc.mean_sum_rate - swf.mean_sum_rate) / unc.mean_sum_rate, rel=1e-12
+        (ref - float(swf.sum_rate.mean())) / ref, rel=1e-12
     )
     assert 0.0 <= loss < 1.0
 
@@ -832,9 +834,7 @@ def synthetic_result(n_trials: int, seed: int) -> harness.CampaignResult:
             outage=outage,
         )
     return harness.CampaignResult(
-        schedulers=tuple(SCHEDULERS), n_trials=n_trials, seed=seed,
-        epsilon=0.1, c_server=50.0,
-        n_active=rng.integers(0, 11, n_trials), series=series,
+        c_server=50.0, n_active=rng.integers(0, 11, n_trials), series=series
     )
 
 

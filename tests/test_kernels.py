@@ -245,7 +245,7 @@ def small_cells(n_centralized=3, background=False, phy=PhyParams()):
             "uniform-random", 12, Arena(0.0, 0.0, 8.0, 8.0), n_centralized,
             seed=7,
         ),
-        table=default_table(params), model=params, phy=phy,
+        table=default_table(), model=params, phy=phy,
         n_trials=1000, epsilon=0.1, seed=7, area_samples=10_000,
         background_interference=background,
     )
@@ -676,7 +676,7 @@ def test_rows_within_budget_keep_the_max_rate_allocation():
     assert (out[:, 1:, 1] == 0.0).all() and (out[:, 0, 1] > 0.0).all()
 
 
-TABLE = default_table(ModelParams())
+TABLE = default_table()
 RATES = TABLE.rates
 KERNEL_CONSTANTS = ModelParams().kernel_constants()
 
@@ -784,7 +784,7 @@ def test_seq_sum_adds_left_to_right(rows):
 
 
 def test_swf_trial_rejects_the_removed_pre_pass():
-    table = default_table(ModelParams())
+    table = default_table()
     c0, ilz = ModelParams().kernel_constants()
     sinr = np.array([3.0, 15.0])
     cap = np.log2(1.0 + sinr)

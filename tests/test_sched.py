@@ -227,7 +227,7 @@ def test_mrs_below_lowest_threshold():
 
 
 def test_mrs_matches_table_lookup_and_cost_model():
-    t = default_table(PARAMS)
+    t = default_table()
     rng = np.random.default_rng(42)
     users = random_instance(rng, 5, 12)
     a = mrs(users, t, PARAMS)
@@ -255,7 +255,7 @@ def seq_sum(values):
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_allocations_internally_consistent(seed):
-    t = default_table(PARAMS)
+    t = default_table()
     rng = np.random.default_rng(seed)
     for _ in range(50):
         users = random_instance(rng)
@@ -288,7 +288,7 @@ def test_allocations_internally_consistent(seed):
 
 @pytest.mark.parametrize("seed", [10, 11, 12, 13])
 def test_budget_feasibility_exhaustive(seed):
-    t = default_table(PARAMS)
+    t = default_table()
     rng = np.random.default_rng(seed)
     for _ in range(100):
         users = random_instance(rng)
@@ -300,7 +300,7 @@ def test_budget_feasibility_exhaustive(seed):
 
 
 def test_scc_budget_monotonicity():
-    t = default_table(PARAMS)
+    t = default_table()
     rng = np.random.default_rng(21)
     for _ in range(200):
         users = random_instance(rng)
@@ -315,7 +315,7 @@ def test_scc_budget_monotonicity():
 
 def test_swf_budget_monotonicity_statistical():
     # not guaranteed for the water-level heuristic; demand it on >= 95%
-    t = default_table(PARAMS)
+    t = default_table()
     rng = np.random.default_rng(22)
     ok = total = 0
     for _ in range(300):
@@ -332,7 +332,7 @@ def test_swf_budget_monotonicity_statistical():
 
 
 def test_permutation_symmetry():
-    t = default_table(PARAMS)
+    t = default_table()
     rng = np.random.default_rng(31)
     for _ in range(30):
         n = int(rng.integers(2, 10))
@@ -406,7 +406,7 @@ def test_brute_force_near_optimality_small_instances():
 def test_continuous_one_user_recovers_expansion_point():
     co = linearize(PARAMS, 3.0, 1.0)
     budget = decode_complexity(PARAMS, 3.0, 1.0)
-    sol = continuous_waterfill([UserChannel(0, 3.0)], [co], budget, [2.0])
+    sol = continuous_waterfill([co], budget, [2.0])
     assert isinstance(sol, ContinuousSolution)
     np.testing.assert_allclose(sol.rates, [1.0], rtol=1e-6)
     assert sol.water_level == pytest.approx(WL_U1, rel=1e-6)
@@ -417,8 +417,7 @@ def test_continuous_one_user_recovers_expansion_point():
 def test_continuous_identical_users_split_evenly():
     co = linearize(PARAMS, 3.0, 1.0)
     budget = 2.0 * decode_complexity(PARAMS, 3.0, 1.0)
-    users = [UserChannel(0, 3.0), UserChannel(1, 3.0)]
-    sol = continuous_waterfill(users, [co, co], budget, [2.0, 2.0])
+    sol = continuous_waterfill([co, co], budget, [2.0, 2.0])
     np.testing.assert_allclose(sol.rates, [1.0, 1.0], rtol=1e-6)
     assert sol.water_level == pytest.approx(WL_U1, rel=1e-6)
 
@@ -426,9 +425,8 @@ def test_continuous_identical_users_split_evenly():
 def test_continuous_slack_budget_returns_caps():
     co = linearize(PARAMS, 3.0, 1.0)
     caps = np.array([1.0, 1.0])
-    users = [UserChannel(0, 3.0), UserChannel(1, 3.0)]
     spend = 2.0 * (co.quad_alpha + co.quad_beta)
-    sol = continuous_waterfill(users, [co, co], spend + 1.0, caps)
+    sol = continuous_waterfill([co, co], spend + 1.0, caps)
     np.testing.assert_allclose(sol.rates, caps, rtol=1e-12)
     assert sol.water_level == pytest.approx(
         2.0 * co.quad_alpha + co.quad_beta, rel=1e-12
@@ -438,12 +436,12 @@ def test_continuous_slack_budget_returns_caps():
 
 def test_continuous_zero_budget_and_empty():
     co = linearize(PARAMS, 3.0, 1.0)
-    sol = continuous_waterfill([UserChannel(0, 3.0)], [co], 0.0, [1.0])
+    sol = continuous_waterfill([co], 0.0, [1.0])
     np.testing.assert_allclose(sol.rates, [0.0])
     assert sol.water_level == 0.0
     assert sol.eta == math.inf
 
-    empty = continuous_waterfill([], [], 5.0, [])
+    empty = continuous_waterfill([], 5.0, [])
     assert empty.rates.shape == (0,)
     assert empty.water_level is None
     assert empty.eta is None
@@ -452,16 +450,21 @@ def test_continuous_zero_budget_and_empty():
 
 def test_continuous_validation():
     co = linearize(PARAMS, 3.0, 1.0)
-    u = [UserChannel(0, 3.0)]
     with pytest.raises(ValueError, match="equal lengths"):
-        continuous_waterfill(u, [co, co], 1.0, [1.0])
+        continuous_waterfill([co, co], 1.0, [1.0])
+    with pytest.raises(ValueError, match="equal lengths"):
+        continuous_waterfill([co], 1.0, [1.0, 1.0])
     with pytest.raises(ValueError, match="budget"):
-        continuous_waterfill(u, [co], -1.0, [1.0])
+        continuous_waterfill([co], -1.0, [1.0])
     with pytest.raises(ValueError, match="caps"):
-        continuous_waterfill(u, [co], 1.0, [-0.5])
+        continuous_waterfill([co], 1.0, [-0.5])
+    for alpha in (0.0, -1.0):
+        flat = dataclasses.replace(co, quad_alpha=alpha)
+        with pytest.raises(ValueError, match="quad_alpha must be > 0"):
+            continuous_waterfill([co, flat], 1.0, [1.0, 1.0])
 
 
-def kkt_violations(users, coeffs, caps, budget, sol, rtol=1e-6):
+def kkt_violations(coeffs, caps, budget, sol, rtol=1e-6):
     """Collect KKT violations for one continuous solution (empty == optimal)."""
     bad = []
     level = sol.water_level
@@ -491,7 +494,6 @@ def test_continuous_kkt_randomized():
     for _ in range(200):
         n = int(rng.integers(2, 12))
         sinr = rng.uniform(0.5, 100.0, size=n)
-        users = [UserChannel(k, float(g)) for k, g in enumerate(sinr)]
         caps = np.log2(1.0 + sinr) - 0.01
         r0 = caps * rng.uniform(0.3, 1.0, size=n)
         coeffs = [
@@ -501,7 +503,7 @@ def test_continuous_kkt_randomized():
         beta = np.array([c.quad_beta for c in coeffs])
         cap_spend = float(np.sum(alpha * caps**2 + beta * caps))
         budget = float(rng.uniform(0.05, 0.95)) * max(cap_spend, 1e-9)
-        sol = continuous_waterfill(users, coeffs, budget, caps)
+        sol = continuous_waterfill(coeffs, budget, caps)
         assert np.all(sol.rates >= 0.0) and np.all(sol.rates <= caps + 1e-12)
         assert sol.sum_complexity <= budget * (1.0 + 1e-6) + 1e-12
-        assert kkt_violations(users, coeffs, caps, budget, sol) == []
+        assert kkt_violations(coeffs, caps, budget, sol) == []
